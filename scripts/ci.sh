@@ -72,6 +72,8 @@ chaos_smoke() {
   cmake -B build -S .
   cmake --build build -j "$JOBS" --target chaos_pipeline
   ./build/tools/chaos/chaos_pipeline --seeds "${CHAOS_SEEDS:-12}"
+  # Crash in the assembly gather of a run with a split cluster.
+  ./build/tools/chaos/chaos_pipeline --seed 32
 }
 
 tsan() {
@@ -203,7 +205,8 @@ fuzz_smoke() {
   echo "== fuzz-smoke: bounded deterministic fuzz run (UBSan tree) =="
   cmake -B build-ubsan -S . -DPGASM_SANITIZE=undefined
   cmake --build build-ubsan -j "$JOBS" \
-    --target fuzz_wire fuzz_fasta fuzz_fastq fuzz_checkpoint fuzz_manifest
+    --target fuzz_wire fuzz_fasta fuzz_fastq fuzz_checkpoint fuzz_manifest \
+    fuzz_assemblies
   (cd build-ubsan && ctest --output-on-failure -L fuzz)
 }
 

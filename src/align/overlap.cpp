@@ -376,7 +376,9 @@ OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
 OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
                                    std::int32_t shift, std::uint32_t band,
                                    const AlignOptions& opts) {
-  thread_local Workspace ws;  // convenience path for low-volume callers
+  // Per-thread workspace for callers that do not hold their own; olc
+  // assembly (overlaps and polish) is the highest-volume one.
+  thread_local Workspace ws;
   return banded_overlap_align(a, b, sc, shift, band, ws, opts);
 }
 

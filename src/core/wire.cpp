@@ -89,20 +89,30 @@ class Cursor {
 
   template <typename T>
   bool read_vec(std::vector<T>& v, const char* what) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (failed_) return false;
     std::uint32_t n = 0;
-    if (!read(n, what)) return false;
-    // Check the element run against the remaining bytes BEFORE allocating:
-    // a corrupt count must produce a typed error, not a multi-gigabyte
-    // resize. 64-bit arithmetic, so n * sizeof(T) cannot wrap.
-    const std::uint64_t need = std::uint64_t{n} * sizeof(T);
-    if (need > in_.size() - off_) {
+    return read(n, what) && read_run(v, n, what);
+  }
+
+  /// Read a run of `n` elements whose count was decoded separately. The
+  /// run is checked against the remaining bytes BEFORE allocating: a
+  /// corrupt count must produce a typed error, not a multi-gigabyte resize.
+  template <typename T>
+  bool read_run(std::vector<T>& v, std::uint64_t n, const char* what) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (!fits(n, sizeof(T), what)) return false;
+    v.resize(static_cast<std::size_t>(n));
+    if (n) std::memcpy(v.data(), in_.data() + off_, v.size() * sizeof(T));
+    off_ += v.size() * sizeof(T);
+    return true;
+  }
+
+  /// Can `count` records of at least `each` bytes still follow? Lets a
+  /// decoder bound a count before it allocates for the records.
+  bool fits(std::uint64_t count, std::uint64_t each, const char* what) {
+    if (failed_) return false;
+    if (count > (in_.size() - off_) / each) {
       return fail(WireErrc::kTruncated, what);
     }
-    v.resize(n);
-    if (n) std::memcpy(v.data(), in_.data() + off_, n * sizeof(T));
-    off_ += static_cast<std::size_t>(need);
     return true;
   }
 
@@ -477,6 +487,89 @@ WireResult<RunManifest> try_load_manifest(const std::string& path) {
   if (!frame) return frame.error();
   const auto payload = std::move(frame).take_or_throw();
   return try_decode_manifest(std::span<const std::uint8_t>(payload));
+}
+
+std::vector<std::uint8_t> encode_assemblies(
+    const std::vector<ClusterAssembly>& records) {
+  std::vector<std::uint8_t> out;
+  out.push_back(kWireKindAssemblies);
+  append_pod(out, static_cast<std::uint32_t>(records.size()));
+  for (const ClusterAssembly& rec : records) {
+    const olc::AssemblyResult& ar = rec.result;
+    append_pod(out, rec.cluster);
+    append_pod(out, static_cast<std::uint32_t>(ar.contigs.size()));
+    append_pod(out, ar.stats.overlaps_considered);
+    append_pod(out, ar.stats.overlaps_accepted);
+    append_pod(out, ar.stats.layout_conflicts);
+    append_pod(out, ar.stats.overlaps_aligned);
+    for (const olc::Contig& contig : ar.contigs) {
+      append_pod(out, static_cast<std::uint64_t>(contig.consensus.size()));
+      out.insert(out.end(), contig.consensus.begin(), contig.consensus.end());
+      append_pod(out, static_cast<std::uint32_t>(contig.layout.size()));
+      for (const olc::Placement& pl : contig.layout) {
+        append_pod(out, pl.fragment);
+        append_pod(out, static_cast<std::uint8_t>(pl.flip ? 1 : 0));
+        append_pod(out, pl.offset);
+        append_pod(out, pl.length);
+      }
+    }
+  }
+  return out;
+}
+
+WireResult<std::vector<ClusterAssembly>> try_decode_assemblies(
+    std::span<const std::uint8_t> bytes) {
+  // Smallest encodings, for checking counts before allocating.
+  constexpr std::uint64_t kMinRecord = 4 + 4 + 4 * 8;
+  constexpr std::uint64_t kMinContig = 8 + 4;
+  constexpr std::uint64_t kPlacement = 4 + 1 + 8 + 4;
+  Cursor<std::uint8_t> cur(bytes);
+  std::vector<ClusterAssembly> records;
+  std::uint32_t n_records = 0;
+  cur.expect_tag(kWireKindAssemblies, "assemblies tag");
+  cur.read(n_records, "assemblies record count");
+  if (cur.fits(n_records, kMinRecord, "assemblies records")) {
+    records.resize(n_records);
+  }
+  for (ClusterAssembly& rec : records) {
+    olc::AssemblyResult& ar = rec.result;
+    std::uint32_t n_contigs = 0;
+    cur.read(rec.cluster, "assembly cluster");
+    cur.read(n_contigs, "assembly contig count");
+    cur.read(ar.stats.overlaps_considered, "assembly stats");
+    cur.read(ar.stats.overlaps_accepted, "assembly stats");
+    cur.read(ar.stats.layout_conflicts, "assembly stats");
+    cur.read(ar.stats.overlaps_aligned, "assembly stats");
+    if (!cur.fits(n_contigs, kMinContig, "assembly contigs")) break;
+    ar.contigs.resize(n_contigs);
+    for (olc::Contig& contig : ar.contigs) {
+      std::uint64_t len = 0;
+      std::uint32_t n_layout = 0;
+      cur.read(len, "contig length");
+      cur.read_run(contig.consensus, len, "contig consensus");
+      for (const seq::Code c : contig.consensus) {
+        if (c > seq::kMask) {
+          cur.fail(WireErrc::kBadValue, "contig consensus code out of range");
+        }
+      }
+      cur.read(n_layout, "contig layout count");
+      if (!cur.fits(n_layout, kPlacement, "contig layout")) break;
+      contig.layout.resize(n_layout);
+      for (olc::Placement& pl : contig.layout) {
+        std::uint8_t flip = 0;
+        cur.read(pl.fragment, "placement fragment");
+        cur.read(flip, "placement flip");
+        cur.read(pl.offset, "placement offset");
+        cur.read(pl.length, "placement length");
+        if (flip > 1) cur.fail(WireErrc::kBadValue, "placement flip not 0/1");
+        pl.flip = flip != 0;
+      }
+    }
+    if (!cur.ok()) break;
+  }
+  cur.expect_end("assemblies trailing bytes");
+  if (!cur.ok()) return cur.error();
+  return records;
 }
 
 std::vector<std::uint8_t> encode_gst_checkpoint(const GstCheckpoint& c) {

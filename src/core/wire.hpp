@@ -26,6 +26,8 @@
 #include <utility>
 #include <vector>
 
+#include "olc/assembler.hpp"
+
 namespace pgasm::core {
 
 /// A promising pair in global doubled-store ids. POD for send_vector.
@@ -300,6 +302,31 @@ WireResult<RunManifest> try_decode_manifest(
 
 void save_manifest(const std::string& path, const RunManifest& m);
 WireResult<RunManifest> try_load_manifest(const std::string& path);
+
+// --- Assembly results (pipeline assembly gather) ---------------------------
+//
+// Each rank ships the clusters it assembled to rank 0 in one message:
+//
+//   [u8 kWireKindAssemblies][u32 n_records] then per record
+//   [u32 cluster][u32 n_contigs][u64 considered, accepted, conflicts,
+//   aligned] then per contig [u64 len][len consensus codes][u32 n_layout]
+//   and per placement [u32 fragment][u8 flip][i64 offset][u32 length].
+//
+// The decoder checks every count against the bytes left before it
+// allocates, and rejects consensus codes above seq::kMask and flip bytes
+// other than 0/1, so every accepted payload re-encodes to itself.
+
+inline constexpr std::uint8_t kWireKindAssemblies = 0x41;  // 'A'
+
+struct ClusterAssembly {
+  std::uint32_t cluster = 0;  ///< index into the pipeline's cluster order
+  olc::AssemblyResult result;
+};
+
+std::vector<std::uint8_t> encode_assemblies(
+    const std::vector<ClusterAssembly>& records);
+WireResult<std::vector<ClusterAssembly>> try_decode_assemblies(
+    std::span<const std::uint8_t> bytes);
 
 // --- GST phase checkpoint ---------------------------------------------------
 

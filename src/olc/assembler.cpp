@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <stdexcept>
+#include <type_traits>
+#include <unordered_map>
 
 #include "gst/pair_generator.hpp"
 #include "gst/suffix_tree.hpp"
+#include "obs/trace.hpp"
 #include "util/stats.hpp"
 
 namespace pgasm::olc {
@@ -20,106 +25,179 @@ std::uint32_t base_weight(std::span<const std::uint8_t> qual, std::size_t k) {
 
 struct Overlap {
   std::uint32_t frag_a, frag_b;  // underlying fragment ids
-  bool rc_a, rc_b;               // orientations the alignment used
+  std::uint8_t rc_a, rc_b;       // orientations the alignment used
   std::int32_t delta;            // start of b's oriented seq rel. to a's
   std::int32_t score;
 };
 
-/// One polish round: banded-realign each placed fragment to the draft and
-/// re-vote per draft column (bases + gap). Columns where gaps win are
-/// dropped; placements' offsets are remapped. Returns true if changed.
-bool polish_round(Contig& contig, const seq::FragmentStore& fragments,
-                  const AssemblyParams& params) {
+/// What aligning one PairPlan key decided.
+struct KeyOutcome {
+  std::int32_t delta = 0;
+  std::int32_t score = 0;
+  std::uint8_t accepted = 0;
+};
+
+struct KeyHash {
+  std::size_t operator()(const PairPlan::Key& k) const noexcept {
+    std::uint64_t h = (std::uint64_t{k.seq_a} << 32) | k.seq_b;
+    h ^= static_cast<std::uint32_t>(k.shift) * 0x9e3779b97f4a7c15ull;
+    return static_cast<std::size_t>(h ^ (h >> 29));
+  }
+};
+
+// POD vectors cross the team as raw bytes; members run the same binary.
+template <typename T>
+std::vector<std::uint8_t> to_bytes(const std::vector<T>& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  std::vector<std::uint8_t> out(v.size() * sizeof(T));
+  if (!out.empty()) std::memcpy(out.data(), v.data(), out.size());
+  return out;
+}
+
+template <typename T>
+std::vector<T> from_bytes(const std::vector<std::uint8_t>& bytes) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  if (bytes.size() % sizeof(T) != 0)
+    throw std::runtime_error("olc team: payload is not a whole record count");
+  std::vector<T> v(bytes.size() / sizeof(T));
+  if (!v.empty()) std::memcpy(v.data(), bytes.data(), bytes.size());
+  return v;
+}
+
+template <typename T>
+void broadcast_pod(Team& team, std::vector<T>& v, int root) {
+  std::vector<std::uint8_t> bytes;
+  if (team.rank() == root) bytes = to_bytes(v);
+  team.broadcast(bytes, root);
+  v = from_bytes<T>(bytes);
+}
+
+/// Per-stage span of a split cluster; a team of one records nothing.
+obs::Span stage_span(const Team& team, const char* name) {
+  if (team.size() < 2) return {};
+  return obs::span(team.rank(), name, "assembly");
+}
+
+class SoloTeam final : public Team {
+ public:
+  int rank() const override { return 0; }
+  int size() const override { return 1; }
+  void broadcast(std::vector<std::uint8_t>&, int) override {}
+  std::vector<std::vector<std::uint8_t>> gather(
+      const std::vector<std::uint8_t>& bytes, int) override {
+    return {bytes};
+  }
+  void allreduce_sum(std::vector<std::uint32_t>&) override {}
+};
+
+constexpr int kGap = seq::kSigma;  // vote index for "delete this column"
+constexpr std::size_t kVoteWidth = seq::kSigma + 1;
+
+/// One polish round's tally for one contig: per draft column, base and gap
+/// votes; per junction between draft columns p-1 and p, insertion votes
+/// for bases the reads carry there (the draft skeleton inherits its root
+/// read's deletions; these columns can only be recovered by insertion
+/// voting). Views into a flat buffer so a team can sum it in one reduce.
+struct PolishTally {
+  std::uint32_t* votes;  // draft.size() * kVoteWidth
+  std::uint32_t* ins;    // (draft.size() + 1) * kSigma
+
+  static std::size_t words(std::size_t draft_len) {
+    return draft_len * kVoteWidth + (draft_len + 1) * seq::kSigma;
+  }
+  std::uint32_t& vote(std::size_t p, int c) { return votes[p * kVoteWidth + c]; }
+  std::uint32_t& insert(std::size_t p, int c) {
+    return ins[p * seq::kSigma + c];
+  }
+};
+
+/// Banded-realign one placed fragment to the draft and add its votes.
+void polish_vote(const Contig& contig, const Placement& pl,
+                 const seq::FragmentStore& fragments,
+                 const AssemblyParams& params, PolishTally tally) {
   const auto& draft = contig.consensus;
-  if (draft.empty()) return false;
-  constexpr int kGap = seq::kSigma;  // vote index for "delete this column"
-  std::vector<std::array<std::uint32_t, seq::kSigma + 1>> votes(
-      draft.size(), std::array<std::uint32_t, seq::kSigma + 1>{});
-  // Insertion votes: bases the reads carry *between* draft columns p-1 and
-  // p (the draft skeleton inherits its root read's deletions; these columns
-  // can only be recovered by insertion voting).
-  std::vector<std::array<std::uint32_t, seq::kSigma>> ins(
-      draft.size() + 1, std::array<std::uint32_t, seq::kSigma>{});
   const std::int64_t pad = params.polish_band;
   const align::Scoring scoring{};
-
-  for (const Placement& pl : contig.layout) {
-    auto read = std::vector<seq::Code>(fragments.seq(pl.fragment).begin(),
-                                       fragments.seq(pl.fragment).end());
-    const auto qspan = fragments.quality(pl.fragment);
-    std::vector<std::uint8_t> qual(qspan.begin(), qspan.end());
-    if (pl.flip) {
-      read = seq::reverse_complement(read);
-      std::reverse(qual.begin(), qual.end());
-    }
-    const std::int64_t dlen = static_cast<std::int64_t>(draft.size());
-    const std::int64_t rlen = static_cast<std::int64_t>(read.size());
-    const std::int64_t win_lo = std::max<std::int64_t>(0, pl.offset - pad);
-    const std::int64_t win_hi = std::min(dlen, pl.offset + rlen + pad);
-    if (win_lo >= win_hi) continue;
-    const align::Seq window(draft.data() + win_lo,
-                            static_cast<std::size_t>(win_hi - win_lo));
-    // Expected diagonal: read position i sits at draft pos offset + i,
-    // i.e. window pos (offset - win_lo) + i. End-free alignment: the
-    // window's pad margins are absorbed for free, so they receive no
-    // spurious gap votes; only the genuinely aligned region votes.
-    const auto ov = align::banded_overlap_align(
-        read, window, scoring,
-        static_cast<std::int32_t>(pl.offset - win_lo),
-        params.polish_band + 8, {.keep_ops = true});
-    const auto& r = ov.aln;
-    if (r.ops.empty()) continue;  // band missed; this read abstains
-    std::size_t i = r.a_begin;
-    std::int64_t p = win_lo + r.b_begin;
-    for (const align::Op op : r.ops) {
-      switch (op) {
-        case align::Op::kMatch:
-        case align::Op::kMismatch:
-          if (seq::is_base(read[i])) {
-            votes[p][read[i]] += base_weight(qual, i);
-          }
-          ++i;
-          ++p;
-          break;
-        case align::Op::kInsertA:  // read base absent from the draft
-          if (seq::is_base(read[i])) ins[p][read[i]] += base_weight(qual, i);
-          ++i;
-          break;
-        case align::Op::kInsertB: {
-          // Deletion quality: the smaller of the flanking base qualities.
-          const std::uint32_t wl = i > 0 ? base_weight(qual, i - 1) : 10;
-          const std::uint32_t wr =
-              i < read.size() ? base_weight(qual, i) : 10;
-          votes[p][kGap] += std::min(wl, wr);
-          ++p;
-          break;
+  auto read = std::vector<seq::Code>(fragments.seq(pl.fragment).begin(),
+                                     fragments.seq(pl.fragment).end());
+  const auto qspan = fragments.quality(pl.fragment);
+  std::vector<std::uint8_t> qual(qspan.begin(), qspan.end());
+  if (pl.flip) {
+    read = seq::reverse_complement(read);
+    std::reverse(qual.begin(), qual.end());
+  }
+  const std::int64_t dlen = static_cast<std::int64_t>(draft.size());
+  const std::int64_t rlen = static_cast<std::int64_t>(read.size());
+  const std::int64_t win_lo = std::max<std::int64_t>(0, pl.offset - pad);
+  const std::int64_t win_hi = std::min(dlen, pl.offset + rlen + pad);
+  if (win_lo >= win_hi) return;
+  const align::Seq window(draft.data() + win_lo,
+                          static_cast<std::size_t>(win_hi - win_lo));
+  // Expected diagonal: read position i sits at draft pos offset + i,
+  // i.e. window pos (offset - win_lo) + i. End-free alignment: the
+  // window's pad margins are absorbed for free, so they receive no
+  // spurious gap votes; only the genuinely aligned region votes.
+  const auto ov = align::banded_overlap_align(
+      read, window, scoring, static_cast<std::int32_t>(pl.offset - win_lo),
+      params.polish_band + 8, {.keep_ops = true});
+  const auto& r = ov.aln;
+  if (r.ops.empty()) return;  // band missed; this read abstains
+  std::size_t i = r.a_begin;
+  std::size_t p = static_cast<std::size_t>(win_lo + r.b_begin);
+  for (const align::Op op : r.ops) {
+    switch (op) {
+      case align::Op::kMatch:
+      case align::Op::kMismatch:
+        if (seq::is_base(read[i])) {
+          tally.vote(p, read[i]) += base_weight(qual, i);
         }
+        ++i;
+        ++p;
+        break;
+      case align::Op::kInsertA:  // read base absent from the draft
+        if (seq::is_base(read[i])) {
+          tally.insert(p, read[i]) += base_weight(qual, i);
+        }
+        ++i;
+        break;
+      case align::Op::kInsertB: {
+        // Deletion quality: the smaller of the flanking base qualities.
+        const std::uint32_t wl = i > 0 ? base_weight(qual, i - 1) : 10;
+        const std::uint32_t wr = i < read.size() ? base_weight(qual, i) : 10;
+        tally.vote(p, kGap) += std::min(wl, wr);
+        ++p;
+        break;
       }
     }
   }
+}
 
-  // Rebuild the consensus; keep a draft->new index map for the offsets.
+/// Rebuild a contig from its summed tally: columns where gaps win are
+/// dropped, majority insertions added, placements' offsets remapped.
+/// Returns true if the consensus changed.
+bool polish_rebuild(Contig& contig, PolishTally tally) {
+  const auto& draft = contig.consensus;
   std::vector<seq::Code> polished;
   polished.reserve(draft.size());
   std::vector<std::int64_t> remap(draft.size() + 1, 0);
   bool changed = false;
   auto column_coverage = [&](std::size_t p) {
     std::uint32_t cov = 0;
-    if (p < votes.size()) {
-      for (int c = 0; c <= kGap; ++c) cov += votes[p][c];
+    if (p < draft.size()) {
+      for (int c = 0; c <= kGap; ++c) cov += tally.vote(p, c);
     }
     return cov;
   };
   auto maybe_insert = [&](std::size_t p) {
     int best = 0;
     for (int c = 1; c < seq::kSigma; ++c) {
-      if (ins[p][c] > ins[p][best]) best = c;
+      if (tally.insert(p, c) > tally.insert(p, best)) best = c;
     }
     // Insert when a majority of the reads spanning this junction carry the
     // base (junction coverage approximated by the flanking columns).
     const std::uint32_t cov =
         std::max(p > 0 ? column_coverage(p - 1) : 0u, column_coverage(p));
-    if (ins[p][best] * 2 > cov && ins[p][best] >= 12) {
+    if (tally.insert(p, best) * 2 > cov && tally.insert(p, best) >= 12) {
       polished.push_back(static_cast<seq::Code>(best));
       changed = true;
     }
@@ -128,14 +206,14 @@ bool polish_round(Contig& contig, const seq::FragmentStore& fragments,
     maybe_insert(p);
     remap[p] = static_cast<std::int64_t>(polished.size());
     int best = 0;
-    std::uint32_t best_votes = votes[p][0];
+    std::uint32_t best_votes = tally.vote(p, 0);
     for (int c = 1; c < seq::kSigma; ++c) {
-      if (votes[p][c] > best_votes) {
+      if (tally.vote(p, c) > best_votes) {
         best = c;
-        best_votes = votes[p][c];
+        best_votes = tally.vote(p, c);
       }
     }
-    if (votes[p][kGap] > best_votes) {
+    if (tally.vote(p, kGap) > best_votes) {
       changed = true;  // column deleted
       continue;
     }
@@ -153,6 +231,51 @@ bool polish_round(Contig& contig, const seq::FragmentStore& fragments,
   }
   contig.consensus = std::move(polished);
   return true;
+}
+
+/// Polish phase: realign-and-revote every multi-fragment contig until it is
+/// stable. Each round, member r votes the placements whose index (over all
+/// contigs still polishing) is r mod team size; the integer sum of the
+/// tallies is the serial tally, so every member rebuilds the same drafts.
+void polish(std::vector<Contig>& contigs, const seq::FragmentStore& fragments,
+            const AssemblyParams& params, Team& team) {
+  std::vector<std::size_t> active;
+  for (std::size_t i = 0; i < contigs.size(); ++i) {
+    if (!contigs[i].is_singleton() && !contigs[i].consensus.empty())
+      active.push_back(i);
+  }
+  const auto members = static_cast<std::size_t>(team.size());
+  const auto me = static_cast<std::size_t>(team.rank());
+  std::vector<std::uint32_t> flat;
+  for (int pass = 0; pass < params.polish_passes && !active.empty(); ++pass) {
+    std::vector<std::size_t> base(active.size() + 1, 0);
+    for (std::size_t a = 0; a < active.size(); ++a) {
+      base[a + 1] =
+          base[a] + PolishTally::words(contigs[active[a]].consensus.size());
+    }
+    flat.assign(base.back(), 0);
+    auto tally_of = [&](std::size_t a) {
+      std::uint32_t* v = flat.data() + base[a];
+      return PolishTally{v, v + contigs[active[a]].consensus.size() *
+                                    kVoteWidth};
+    };
+    std::size_t placement = 0;
+    for (std::size_t a = 0; a < active.size(); ++a) {
+      const Contig& contig = contigs[active[a]];
+      for (const Placement& pl : contig.layout) {
+        if (placement++ % members == me) {
+          polish_vote(contig, pl, fragments, params, tally_of(a));
+        }
+      }
+    }
+    team.allreduce_sum(flat);
+    std::vector<std::size_t> still;
+    for (std::size_t a = 0; a < active.size(); ++a) {
+      if (polish_rebuild(contigs[active[a]], tally_of(a)))
+        still.push_back(active[a]);
+    }
+    active = std::move(still);
+  }
 }
 
 }  // namespace
@@ -176,38 +299,112 @@ std::uint64_t AssemblyResult::n50() const {
 
 AssemblyResult assemble(const seq::FragmentStore& fragments,
                         const AssemblyParams& params) {
-  AssemblyResult result;
-  const std::size_t n = fragments.size();
-  if (n == 0) return result;
+  SoloTeam solo;
+  return assemble(fragments, params, solo, 0, plan_pairs(fragments, params));
+}
 
-  // --- Overlap phase -------------------------------------------------------
+PairPlan plan_pairs(const seq::FragmentStore& fragments,
+                    const AssemblyParams& params) {
+  PairPlan plan;
+  if (fragments.size() == 0) return plan;
   const seq::FragmentStore doubled = seq::make_doubled_store(fragments);
   gst::SuffixTree tree(doubled,
                        gst::GstParams{.min_match = params.psi, .prefix_w = 0});
   gst::PairGenerator gen(tree, {.dup_elim = true, .doubled_input = true});
-
-  std::vector<Overlap> overlaps;
+  // The dup-eliminating generator still emits a pair once per GST node
+  // where the two fragments share a maximal match; with no indel between
+  // the matches the shift repeats too, and so would the alignment. Lookups
+  // only: key indices follow first emission, never hash order.
+  std::unordered_map<PairPlan::Key, std::uint32_t, KeyHash> index;
   gst::PromisingPair pr;
   while (gen.next(pr)) {
-    ++result.stats.overlaps_considered;
-    const auto a = doubled.seq(pr.seq_a);
-    const auto b = doubled.seq(pr.seq_b);
-    const auto r = align::banded_overlap_align(
-        a, b, params.overlap.scoring, pr.shift(), params.overlap.band);
-    if (!align::accept_overlap(r, params.overlap)) continue;
-    ++result.stats.overlaps_accepted;
-    Overlap ov;
-    ov.frag_a = pr.seq_a >> 1;
-    ov.frag_b = pr.seq_b >> 1;
-    ov.rc_a = (pr.seq_a & 1u) != 0;
-    ov.rc_b = (pr.seq_b & 1u) != 0;
-    ov.delta = static_cast<std::int32_t>(r.aln.a_begin) -
-               static_cast<std::int32_t>(r.aln.b_begin);
-    ov.score = r.aln.score;
-    overlaps.push_back(ov);
+    const PairPlan::Key key{pr.seq_a, pr.seq_b, pr.shift()};
+    const auto [it, fresh] = index.try_emplace(
+        key, static_cast<std::uint32_t>(plan.keys.size()));
+    if (fresh) plan.keys.push_back(key);
+    plan.emissions.push_back(it->second);
+  }
+  return plan;
+}
+
+AssemblyResult assemble(const seq::FragmentStore& fragments,
+                        const AssemblyParams& params, Team& team, int owner,
+                        PairPlan plan) {
+  AssemblyResult result;
+  const std::size_t n = fragments.size();
+  if (n == 0) return result;
+  const auto team_size = static_cast<std::size_t>(team.size());
+  const auto me = static_cast<std::size_t>(team.rank());
+  const bool split = team_size > 1;
+  const bool is_owner = team.rank() == owner;
+
+  // --- Overlap phase: member r aligns keys r, r + P, ... -------------------
+  std::vector<Overlap> overlaps;
+  {
+    obs::Span span = stage_span(team, "asm_align");
+    if (split) broadcast_pod(team, plan.keys, owner);
+    const seq::FragmentStore doubled = seq::make_doubled_store(fragments);
+    std::vector<KeyOutcome> mine;
+    mine.reserve(plan.keys.size() / team_size + 1);
+    for (std::size_t k = me; k < plan.keys.size(); k += team_size) {
+      const PairPlan::Key& key = plan.keys[k];
+      const auto r = align::banded_overlap_align(
+          doubled.seq(key.seq_a), doubled.seq(key.seq_b),
+          params.overlap.scoring, key.shift, params.overlap.band);
+      KeyOutcome o;
+      o.accepted = align::accept_overlap(r, params.overlap) ? 1 : 0;
+      o.delta = static_cast<std::int32_t>(r.aln.a_begin) -
+                static_cast<std::int32_t>(r.aln.b_begin);
+      o.score = r.aln.score;
+      mine.push_back(o);
+    }
+    // The owner merges the shares back into key order and replays the
+    // emission order, so the layout sees exactly the serial overlap list.
+    std::vector<KeyOutcome> outcome;
+    if (!split) {
+      outcome = std::move(mine);
+    } else {
+      const auto shares = team.gather(to_bytes(mine), owner);
+      if (is_owner) {
+        outcome.resize(plan.keys.size());
+        for (std::size_t r = 0; r < team_size; ++r) {
+          const auto share = from_bytes<KeyOutcome>(shares[r]);
+          for (std::size_t j = 0; j < share.size(); ++j) {
+            outcome.at(r + j * team_size) = share[j];
+          }
+        }
+      }
+    }
+    if (is_owner) {
+      result.stats.overlaps_aligned = plan.keys.size();
+      for (const std::uint32_t k : plan.emissions) {
+        ++result.stats.overlaps_considered;
+        const KeyOutcome& o = outcome[k];
+        if (o.accepted == 0) continue;
+        ++result.stats.overlaps_accepted;
+        const PairPlan::Key& key = plan.keys[k];
+        Overlap ov;
+        ov.frag_a = key.seq_a >> 1;
+        ov.frag_b = key.seq_b >> 1;
+        ov.rc_a = static_cast<std::uint8_t>(key.seq_a & 1u);
+        ov.rc_b = static_cast<std::uint8_t>(key.seq_b & 1u);
+        ov.delta = o.delta;
+        ov.score = o.score;
+        overlaps.push_back(ov);
+      }
+    }
+    if (split) {
+      broadcast_pod(team, overlaps, owner);
+      std::vector<AssemblyStats> stats{result.stats};
+      broadcast_pod(team, stats, owner);
+      result.stats = stats.at(0);
+    }
   }
 
   // --- Layout phase: best overlaps first -----------------------------------
+  // Every member runs layout and consensus on the same overlap list, so
+  // every member holds the same drafts for the shared polish.
+  obs::Span layout_span = stage_span(team, "asm_layout");
   std::stable_sort(overlaps.begin(), overlaps.end(),
                    [](const Overlap& x, const Overlap& y) {
                      return x.score > y.score;
@@ -315,13 +512,11 @@ AssemblyResult assemble(const seq::FragmentStore& fragments,
     }
   }
 
+  layout_span.finish();
+
   // --- Polish phase: realign-and-revote until stable -----------------------
-  for (Contig& contig : result.contigs) {
-    if (contig.is_singleton()) continue;
-    for (int pass = 0; pass < params.polish_passes; ++pass) {
-      if (!polish_round(contig, fragments, params)) break;
-    }
-  }
+  obs::Span polish_span = stage_span(team, "asm_polish");
+  polish(result.contigs, fragments, params, team);
   return result;
 }
 

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <span>
 #include <stdexcept>
 
+#include "core/wire.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "pipeline/comm_team.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -18,76 +19,42 @@ namespace pgasm::pipeline {
 
 namespace {
 
-// --- AssemblyResult wire helpers for the distributed assembly phase -------
+// --- Assembly schedule -----------------------------------------------------
 
-template <typename T>
-void put(std::vector<std::uint8_t>& out, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const std::size_t base = out.size();
-  out.resize(base + sizeof(T));
-  std::memcpy(out.data() + base, &v, sizeof(T));
-}
+/// Who assembles which cluster (DESIGN.md §17). A cluster holding more than
+/// 1/P of the bases to assemble is split: no static assignment can balance
+/// it (the LPT makespan bound), so every rank assembles it together and
+/// `rank[ci]` is its owner, the one rank that builds its pair plan. The
+/// other clusters go, largest first, to the least-loaded rank, each owner
+/// starting out loaded with its split clusters' bases.
+struct AssemblySchedule {
+  std::vector<int> rank;
+  std::vector<std::uint8_t> split;
+  std::size_t num_split = 0;
+};
 
-template <typename T>
-T take(const std::vector<std::uint8_t>& in, std::size_t& off) {
-  T v;
-  if (sizeof(T) > in.size() - off)
-    throw std::runtime_error("assembly wire: truncated field");
-  std::memcpy(&v, in.data() + off, sizeof(T));
-  off += sizeof(T);
-  return v;
-}
-
-void append_assembly(std::vector<std::uint8_t>& out, std::uint32_t cluster,
-                     const olc::AssemblyResult& ar) {
-  put(out, cluster);
-  put(out, static_cast<std::uint32_t>(ar.contigs.size()));
-  put(out, ar.stats.overlaps_considered);
-  put(out, ar.stats.overlaps_accepted);
-  put(out, ar.stats.layout_conflicts);
-  for (const auto& contig : ar.contigs) {
-    put(out, static_cast<std::uint64_t>(contig.consensus.size()));
-    const std::size_t base = out.size();
-    out.resize(base + contig.consensus.size());
-    if (!contig.consensus.empty())
-      std::memcpy(out.data() + base, contig.consensus.data(),
-                  contig.consensus.size());
-    put(out, static_cast<std::uint32_t>(contig.layout.size()));
-    for (const auto& pl : contig.layout) {
-      put(out, pl.fragment);
-      put(out, static_cast<std::uint8_t>(pl.flip ? 1 : 0));
-      put(out, pl.offset);
-      put(out, pl.length);
-    }
+AssemblySchedule schedule_assembly(const std::vector<std::uint64_t>& bases,
+                                   int ranks) {
+  AssemblySchedule s;
+  s.rank.assign(bases.size(), 0);
+  s.split.assign(bases.size(), 0);
+  std::uint64_t total = 0;
+  for (const std::uint64_t b : bases) total += b;
+  std::vector<std::uint64_t> load(static_cast<std::size_t>(ranks), 0);
+  const auto p = static_cast<std::uint64_t>(ranks);
+  for (std::size_t ci = 0; ci < bases.size(); ++ci) {
+    if (bases[ci] * p <= total) continue;
+    s.split[ci] = 1;
+    s.rank[ci] = static_cast<int>(s.num_split++ % p);
+    load[static_cast<std::size_t>(s.rank[ci])] += bases[ci];
   }
-}
-
-olc::AssemblyResult parse_assembly(const std::vector<std::uint8_t>& in,
-                                   std::size_t& off, std::uint32_t* cluster) {
-  olc::AssemblyResult ar;
-  *cluster = take<std::uint32_t>(in, off);
-  const auto n_contigs = take<std::uint32_t>(in, off);
-  ar.stats.overlaps_considered = take<std::uint64_t>(in, off);
-  ar.stats.overlaps_accepted = take<std::uint64_t>(in, off);
-  ar.stats.layout_conflicts = take<std::uint64_t>(in, off);
-  ar.contigs.resize(n_contigs);
-  for (auto& contig : ar.contigs) {
-    const auto len = take<std::uint64_t>(in, off);
-    if (len > in.size() - off)
-      throw std::runtime_error("assembly wire: truncated consensus");
-    contig.consensus.resize(len);
-    if (len != 0) std::memcpy(contig.consensus.data(), in.data() + off, len);
-    off += len;
-    const auto n_layout = take<std::uint32_t>(in, off);
-    contig.layout.resize(n_layout);
-    for (auto& pl : contig.layout) {
-      pl.fragment = take<std::uint32_t>(in, off);
-      pl.flip = take<std::uint8_t>(in, off) != 0;
-      pl.offset = take<std::int64_t>(in, off);
-      pl.length = take<std::uint32_t>(in, off);
-    }
+  for (std::size_t ci = 0; ci < bases.size(); ++ci) {
+    if (s.split[ci] != 0) continue;
+    const auto least = std::min_element(load.begin(), load.end());
+    s.rank[ci] = static_cast<int>(least - load.begin());
+    *least += bases[ci];
   }
-  return ar;
+  return s;
 }
 
 // --- Final-checkpoint persistence (recovery supervisor) --------------------
@@ -422,6 +389,7 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
   // "The subsequent assembly tasks are trivially parallelized by
   // distributing the clusters across multiple processors and running
   // multiple instances of a serial assembler in parallel" (Section 3).
+  // Clusters too large for that are split across the ranks instead.
   if (params.run_assembly) {
     sup.run_phase(PhaseId::kAssembly, /*required=*/true,
                   [&](std::uint32_t attempt) {
@@ -436,40 +404,84 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
     }
     util::WallTimer timer;
     result.assemblies.resize(n_assemble);
-    auto assemble_one = [&](std::size_t ci) {
+    auto cluster_store = [&](std::size_t ci) {
       seq::FragmentStore sub;
       for (const auto id : result.cluster_sets[ci]) {
         sub.add(result.pre.unmasked_store.seq(id),
                 result.pre.unmasked_store.type(id), {},
                 result.pre.unmasked_store.quality(id));
       }
-      return olc::assemble(sub, params.assembly);
+      return sub;
+    };
+    // Role arg of the per-cluster span: whole cluster, or split as owner
+    // or as a plain member.
+    enum Role : std::uint64_t { kWhole = 0, kSplitOwner = 1, kSplitMember = 2 };
+    auto cluster_span_for = [&](int tid, std::size_t ci, Role role) {
+      obs::Span span = obs::span(tid, "assemble_cluster", "assembly");
+      span.arg("cluster", ci);
+      span.arg("fragments", result.cluster_sets[ci].size());
+      span.arg("role", role);
+      return span;
     };
     if (params.ranks >= 2 && n_assemble > 0) {
-      // Clusters are sorted by decreasing size; round-robin over ranks is
-      // an LPT-style balance. Results ship to rank 0 serialized.
-      // Under the supervisor the chaos fault plan reaches this phase too
-      // (first attempt only): a crashed or silenced worker surfaces as a
-      // failed gather recv, and the retry reassembles everything clean.
+      std::vector<std::uint64_t> bases(n_assemble, 0);
+      for (std::size_t ci = 0; ci < n_assemble; ++ci) {
+        for (const auto id : result.cluster_sets[ci])
+          bases[ci] += result.pre.unmasked_store.length(id);
+      }
+      const AssemblySchedule sched = schedule_assembly(bases, params.ranks);
+      result.assembly_summary.clusters_split = sched.num_split;
+      // Results ship to rank 0 on the user channel, so under the supervisor
+      // the chaos fault plan reaches this phase too (first attempt only): a
+      // crashed or silenced rank surfaces as a failed gather recv, and the
+      // retry reassembles everything clean. The split stages before it use
+      // internal collectives, which faults never touch.
       vmpi::Runtime rt(params.ranks, params.cluster.transport, params.cost,
                        sup.enabled() && attempt == 0 ? params.faults
                                                      : vmpi::FaultPlan{});
       const auto cost = rt.run([&](vmpi::Comm& comm) {
-        std::vector<std::uint8_t> outbox;
+        const int me = comm.rank();
+        std::vector<core::ClusterAssembly> shipped;
+        auto keep = [&](std::size_t ci, olc::AssemblyResult ar) {
+          if (me == 0) {
+            result.assemblies[ci] = std::move(ar);
+          } else {
+            shipped.push_back({static_cast<std::uint32_t>(ci), std::move(ar)});
+          }
+        };
         {
           auto scope = comm.compute_scope();
-          for (std::size_t ci = comm.rank(); ci < n_assemble;
-               ci += comm.size()) {
-            auto asm_result = assemble_one(ci);
-            if (comm.rank() == 0) {
-              result.assemblies[ci] = std::move(asm_result);
-              continue;
-            }
-            append_assembly(outbox, static_cast<std::uint32_t>(ci),
-                            asm_result);
+          // Owner-only stage first, while the other ranks assemble their
+          // own clusters: the GST and pair plan of each split cluster.
+          std::vector<olc::PairPlan> plans(n_assemble);
+          for (std::size_t ci = 0; ci < n_assemble; ++ci) {
+            if (sched.split[ci] == 0 || sched.rank[ci] != me) continue;
+            obs::Span span = obs::span(me, "asm_pairs", "assembly");
+            span.arg("cluster", ci);
+            plans[ci] = olc::plan_pairs(cluster_store(ci), params.assembly);
+          }
+          for (std::size_t ci = 0; ci < n_assemble; ++ci) {
+            if (sched.split[ci] != 0 || sched.rank[ci] != me) continue;
+            obs::Span span = cluster_span_for(me, ci, kWhole);
+            keep(ci, olc::assemble(cluster_store(ci), params.assembly));
+          }
+          // The split stages start together. Collective-internal waits are
+          // not traced, so without this barrier the wait for the owners'
+          // pair plans would read as team compute on the critical path.
+          if (sched.num_split > 0) comm.barrier();
+          CommTeam team(comm);
+          for (std::size_t ci = 0; ci < n_assemble; ++ci) {
+            if (sched.split[ci] == 0) continue;
+            const bool owner = sched.rank[ci] == me;
+            obs::Span span =
+                cluster_span_for(me, ci, owner ? kSplitOwner : kSplitMember);
+            auto ar = olc::assemble(cluster_store(ci), params.assembly, team,
+                                    sched.rank[ci], std::move(plans[ci]));
+            if (owner) keep(ci, std::move(ar));
           }
         }
-        if (comm.rank() != 0) {
+        if (me != 0) {
+          const auto outbox = core::encode_assemblies(shipped);
           // pgasm-lint: allow(raw-comm): assembly-result gather is a one-shot
           // all-to-root ship with its own framing, not clustering traffic.
           comm.send(0, 7, outbox.data(), outbox.size());
@@ -477,11 +489,13 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
           for (int src = 1; src < comm.size(); ++src) {
             // pgasm-lint: allow(raw-comm): matching root-side recv of the gather.
             const auto bytes = comm.recv_vector<std::uint8_t>(src, 7);
-            std::size_t off = 0;
-            while (off < bytes.size()) {
-              std::uint32_t ci = 0;
-              olc::AssemblyResult ar = parse_assembly(bytes, off, &ci);
-              result.assemblies[ci] = std::move(ar);
+            auto records =
+                core::try_decode_assemblies(std::span<const std::uint8_t>(bytes))
+                    .take_or_throw();
+            for (auto& rec : records) {
+              if (rec.cluster >= n_assemble)
+                throw std::runtime_error("assembly gather: bad cluster index");
+              result.assemblies[rec.cluster] = std::move(rec.result);
             }
           }
         }
@@ -490,7 +504,9 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
           cost.modeled_parallel_seconds();
     } else {
       for (std::size_t ci = 0; ci < n_assemble; ++ci) {
-        result.assemblies[ci] = assemble_one(ci);
+        obs::Span span = cluster_span_for(obs::kDriverTid, ci, kWhole);
+        result.assemblies[ci] =
+            olc::assemble(cluster_store(ci), params.assembly);
       }
     }
     result.assembly_summary.assembly_seconds = timer.elapsed();
@@ -527,6 +543,20 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
           .inc(a.consensus_bases);
       reg.gauge("assembly.assembly_seconds", obs::kNoRank, ph)
           .set(a.assembly_seconds);
+      reg.counter("assembly.clusters_split", obs::kNoRank, ph)
+          .inc(a.clusters_split);
+      olc::AssemblyStats st;
+      for (const auto& ar : result.assemblies) {
+        st.overlaps_considered += ar.stats.overlaps_considered;
+        st.overlaps_aligned += ar.stats.overlaps_aligned;
+        st.layout_conflicts += ar.stats.layout_conflicts;
+      }
+      reg.counter("assembly.overlaps_considered", obs::kNoRank, ph)
+          .inc(st.overlaps_considered);
+      reg.counter("assembly.overlaps_aligned", obs::kNoRank, ph)
+          .inc(st.overlaps_aligned);
+      reg.counter("assembly.layout_conflicts", obs::kNoRank, ph)
+          .inc(st.layout_conflicts);
     }
     });
   }

@@ -91,6 +91,9 @@ struct AssemblySummary {
   /// Modeled parallel time of the assembly phase when it ran distributed
   /// (paper: CAP3 across 40 processors, "trivially parallelized").
   double assembly_modeled_seconds = 0;
+  /// Clusters too large for one rank, assembled by all ranks together
+  /// (DESIGN.md §17). Always 0 for serial runs.
+  std::size_t clusters_split = 0;
 };
 
 struct PipelineResult {

@@ -40,6 +40,7 @@ struct RunOutput {
   std::string fasta;                           // canonical contig rendering
   std::uint64_t spectrum_fingerprint = 0;      // preprocess repeat spectrum
   std::size_t num_contigs = 0;
+  std::size_t clusters_split = 0;  // clusters assembled by all ranks together
 };
 
 // Run the pipeline at `ranks` over `transport` and render the contigs the
@@ -59,6 +60,7 @@ RunOutput run_once(const seq::FragmentStore& reads, int ranks,
 
   RunOutput out;
   out.spectrum_fingerprint = result.pre.stats.repeat_spectrum_fingerprint;
+  out.clusters_split = result.assembly_summary.clusters_split;
   seq::FragmentStore contigs;
   std::size_t idx = 0;
   for (const auto& assembly : result.assemblies) {
@@ -93,6 +95,21 @@ TEST(Determinism, ContigsBitIdenticalAcrossRanksAndTransports) {
     // Byte equality covers both contig sequences and contig order.
     EXPECT_EQ(got.fasta, reference.fasta);
     EXPECT_EQ(got.spectrum_fingerprint, reference.spectrum_fingerprint);
+  }
+}
+
+// Three ranks split the largest cluster's keys and placements unevenly
+// (DESIGN.md §17); the contigs must still match the serial run byte for
+// byte.
+TEST(Determinism, SplitClusterOnThreeRanksMatchesSerial) {
+  const auto reads = simulated_reads();
+  const RunOutput reference = run_once(reads, 0, "");
+  ASSERT_EQ(reference.clusters_split, 0u);
+  for (const std::string transport : {"thread", "proc"}) {
+    SCOPED_TRACE("transport=" + transport);
+    const RunOutput got = run_once(reads, 3, transport);
+    EXPECT_GE(got.clusters_split, 1u);
+    EXPECT_EQ(got.fasta, reference.fasta);
   }
 }
 

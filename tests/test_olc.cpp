@@ -1,10 +1,19 @@
 // Tests for the layout union-find and the greedy OLC assembler.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "align/overlap.hpp"
 #include "olc/assembler.hpp"
 #include "olc/layout.hpp"
+#include "pipeline/comm_team.hpp"
+#include "seq/fasta.hpp"
+#include "sim/community.hpp"
+#include "sim/genome.hpp"
+#include "sim/reads.hpp"
 #include "test_helpers.hpp"
+#include "vmpi/runtime.hpp"
 
 namespace pgasm {
 namespace {
@@ -265,6 +274,175 @@ TEST(Assembler, N50Sane) {
   const auto result = olc::assemble(frags, olc::AssemblyParams{});
   EXPECT_GE(result.n50(), 900u);
 }
+
+// --- Golden pins --------------------------------------------------------------
+//
+// Output of the assembler on two fixed-seed inputs, recorded before the
+// pair memo and the split-cluster path existed. Every way of running the
+// assembler must reproduce them exactly: this pins identity with the
+// original serial assembler, not just self-consistency.
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct Pin {
+  std::uint64_t fasta = 0;   ///< FNV-1a of every contig as FASTA, in order
+  std::uint64_t layout = 0;  ///< FNV-1a of every placement, in order
+  std::uint64_t contigs = 0;
+  std::uint64_t considered = 0;
+  std::uint64_t accepted = 0;
+  std::uint64_t conflicts = 0;
+
+  static Pin of(const olc::AssemblyResult& r) {
+    seq::FragmentStore contigs;
+    std::string placements;
+    for (const auto& c : r.contigs) {
+      contigs.add(c.consensus, seq::FragType::kUnknown,
+                  "contig" + std::to_string(contigs.size()));
+      for (const auto& p : c.layout) {
+        placements += std::to_string(p.fragment) + (p.flip ? "-" : "+") +
+                      std::to_string(p.offset) + "/" +
+                      std::to_string(p.length) + ";";
+      }
+    }
+    std::ostringstream fasta;
+    seq::write_fasta(fasta, contigs);
+    return Pin{fnv1a(fasta.str()),         fnv1a(placements),
+               r.contigs.size(),           r.stats.overlaps_considered,
+               r.stats.overlaps_accepted, r.stats.layout_conflicts};
+  }
+  bool operator==(const Pin&) const = default;
+};
+
+void PrintTo(const Pin& p, std::ostream* os) {
+  *os << std::hex << "{fasta 0x" << p.fasta << ", layout 0x" << p.layout
+      << std::dec << ", contigs " << p.contigs << ", considered "
+      << p.considered << ", accepted " << p.accepted << ", conflicts "
+      << p.conflicts << "}";
+}
+
+sim::ReadParams pin_read_params(std::uint32_t len_mean) {
+  sim::ReadParams rp;
+  rp.len_mean = len_mean;
+  rp.len_spread = len_mean / 5;
+  rp.vector_contam_prob = 0;
+  return rp;
+}
+
+/// One 8X WGS cluster of 321 fragments: repeat emissions of the same
+/// (pair, shift) are common, so the pair memo fires.
+seq::FragmentStore wgs_pin_cluster() {
+  const auto genome = sim::simulate_genome(sim::shotgun_like(12'000, 3));
+  util::Prng rng(4);
+  sim::ReadSet rs;
+  sim::sample_wgs(rs, genome, 8.0, pin_read_params(300), rng);
+  return std::move(rs.store);
+}
+
+/// A low-coverage four-species community, one cluster per species: several
+/// clusters assemble to more than one multi-fragment contig, so polish runs
+/// over several contigs at once.
+std::vector<seq::FragmentStore> env_pin_clusters() {
+  sim::CommunityParams cp;
+  cp.num_species = 4;
+  cp.genome_len_min = 4'000;
+  cp.genome_len_max = 9'000;
+  cp.seed = 5;
+  const auto community = sim::simulate_community(cp);
+  util::Prng rng(6);
+  sim::ReadSet rs;
+  sim::sample_community(rs, community, 120, pin_read_params(450), rng);
+  std::vector<seq::FragmentStore> clusters(cp.num_species);
+  for (seq::FragmentId i = 0; i < rs.store.size(); ++i) {
+    clusters[rs.truth[i].genome_id].add(rs.store.seq(i), rs.store.type(i), {},
+                                        rs.store.quality(i));
+  }
+  return clusters;
+}
+
+const Pin kWgsPin{0xaaf130078778c01bull, 0x580440455cb37ec6ull, 3, 6626, 5625,
+                  0};
+const Pin kEnvPins[] = {
+    {0x9251ae0550c8fb51ull, 0xb45ebb40e8022b2cull, 2, 923, 686, 0},
+    {0xfc2ee4fb2aa04084ull, 0x55abcd85cf8e96d3ull, 7, 289, 195, 0},
+    {0xbdb30b5aaf24985dull, 0x5d00f0265ac9aea7ull, 3, 197, 102, 0},
+    {0xce6d0e7d0fef2c76ull, 0xde0b033a28a997ffull, 10, 107, 60, 0},
+};
+
+TEST(GoldenPin, WgsClusterSerial) {
+  const auto frags = wgs_pin_cluster();
+  ASSERT_EQ(frags.size(), 321u);
+  const auto result = olc::assemble(frags, olc::AssemblyParams{});
+  EXPECT_EQ(Pin::of(result), kWgsPin);
+  // The memo fires: some emissions repeat an earlier (pair, shift) key.
+  EXPECT_LT(result.stats.overlaps_aligned, result.stats.overlaps_considered);
+}
+
+TEST(GoldenPin, EnvClustersSerial) {
+  const auto clusters = env_pin_clusters();
+  ASSERT_EQ(clusters.size(), std::size(kEnvPins));
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    SCOPED_TRACE("cluster " + std::to_string(i));
+    EXPECT_EQ(Pin::of(olc::assemble(clusters[i], olc::AssemblyParams{})),
+              kEnvPins[i]);
+  }
+}
+
+/// Assemble `frags` as a team of `size` ranks over `transport`, owned by
+/// the last rank. Every member must end with the same result.
+Pin team_pin(const seq::FragmentStore& frags, int size,
+             const std::string& transport) {
+  constexpr std::uint32_t kPinKey = 1;
+  const int owner = size - 1;
+  const olc::AssemblyParams params;
+  vmpi::Runtime rt(size, transport);
+  const auto cost = rt.run([&](vmpi::Comm& comm) {
+    pipeline::CommTeam team(comm);
+    olc::PairPlan plan;
+    if (comm.rank() == owner) plan = olc::plan_pairs(frags, params);
+    const auto result =
+        olc::assemble(frags, params, team, owner, std::move(plan));
+    comm.stash_value(kPinKey, Pin::of(result));
+  });
+  const auto first = cost.stash_value<Pin>(0, kPinKey);
+  EXPECT_TRUE(first.has_value());
+  for (int r = 1; r < size; ++r) {
+    EXPECT_EQ(cost.stash_value<Pin>(r, kPinKey), first) << "rank " << r;
+  }
+  return first.value_or(Pin{});
+}
+
+#ifdef PGASM_NO_FORK
+constexpr bool kCanFork = false;
+#else
+constexpr bool kCanFork = true;
+#endif
+
+/// Team sizes 1-4: 3 gives an uneven key and placement partition.
+void expect_team_pins(const std::string& transport) {
+  if (transport == "proc" && !kCanFork) GTEST_SKIP() << "no fork under TSan";
+  const auto wgs = wgs_pin_cluster();
+  const auto env = env_pin_clusters();
+  for (int size = 1; size <= 4; ++size) {
+    SCOPED_TRACE("team size " + std::to_string(size));
+    EXPECT_EQ(team_pin(wgs, size, transport), kWgsPin);
+    for (std::size_t i = 0; i < env.size(); ++i) {
+      SCOPED_TRACE("env cluster " + std::to_string(i));
+      EXPECT_EQ(team_pin(env[i], size, transport), kEnvPins[i]);
+    }
+  }
+}
+
+TEST(GoldenPin, TeamsReproduceOverThreads) { expect_team_pins("thread"); }
+
+TEST(GoldenPin, TeamsReproduceOverProcesses) { expect_team_pins("proc"); }
+
 
 }  // namespace
 }  // namespace pgasm

@@ -122,6 +122,70 @@ TEST(WireErrors, HugeElementCountFailsBeforeAllocating) {
   EXPECT_EQ(r.error().code, WireErrc::kTruncated);
 }
 
+std::vector<ClusterAssembly> sample_assemblies() {
+  std::vector<ClusterAssembly> records(1);
+  records[0].cluster = 2;
+  records[0].result.stats.overlaps_considered = 9;
+  records[0].result.stats.overlaps_aligned = 5;
+  olc::Contig contig;
+  contig.consensus = {0, 1, 2, 3};
+  contig.layout.push_back({.fragment = 1, .flip = true, .offset = -2,
+                           .length = 4});
+  records[0].result.contigs.push_back(contig);
+  return records;
+}
+
+TEST(WireErrors, AssembliesRoundTrip) {
+  const auto bytes = encode_assemblies(sample_assemblies());
+  auto r = try_decode_assemblies(std::span<const std::uint8_t>(bytes));
+  ASSERT_TRUE(r.has_value()) << r.error().message();
+  const auto& rec = r.value().at(0);
+  EXPECT_EQ(rec.cluster, 2u);
+  EXPECT_EQ(rec.result.stats.overlaps_aligned, 5u);
+  ASSERT_EQ(rec.result.contigs.size(), 1u);
+  EXPECT_EQ(rec.result.contigs[0].consensus,
+            (std::vector<seq::Code>{0, 1, 2, 3}));
+  EXPECT_TRUE(rec.result.contigs[0].layout.at(0).flip);
+  EXPECT_EQ(rec.result.contigs[0].layout[0].offset, -2);
+}
+
+// Every count the gather decoder reads (records, contigs, consensus bases,
+// placements) is checked against the bytes left before it allocates.
+TEST(WireErrors, AssembliesHugeCountsFailBeforeAllocating) {
+  const auto valid = encode_assemblies(sample_assemblies());
+  // Offsets of the record count, contig count, consensus length and
+  // layout count in the one-record, one-contig encoding above.
+  const std::size_t record_count = 1;
+  const std::size_t contig_count = record_count + 4 + 4;
+  const std::size_t consensus_len = contig_count + 4 + 32;
+  const std::size_t layout_count = consensus_len + 8 + 4;
+  for (const std::size_t at :
+       {record_count, contig_count, consensus_len, layout_count}) {
+    auto bytes = valid;
+    bytes[at + 3] = 0xff;  // count ~ 2^32
+    auto r = try_decode_assemblies(std::span<const std::uint8_t>(bytes));
+    ASSERT_FALSE(r.has_value()) << "count at offset " << at;
+    EXPECT_EQ(r.error().code, WireErrc::kTruncated) << "count at " << at;
+  }
+}
+
+TEST(WireErrors, AssembliesBadCodeAndFlipAreBadValue) {
+  auto bytes = encode_assemblies(sample_assemblies());
+  const std::size_t first_base = 1 + 4 + 4 + 4 + 32 + 8;
+  bytes[first_base] = seq::kMask + 1;
+  auto r = try_decode_assemblies(std::span<const std::uint8_t>(bytes));
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().code, WireErrc::kBadValue);
+
+  bytes = encode_assemblies(sample_assemblies());
+  const std::size_t flip = first_base + 4 + 4 + 4;
+  ASSERT_EQ(bytes[flip], 1);
+  bytes[flip] = 2;
+  r = try_decode_assemblies(std::span<const std::uint8_t>(bytes));
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().code, WireErrc::kBadValue);
+}
+
 TEST(WireErrors, LegacyDecodeThrowsWireFormatErrorWithCode) {
   auto bytes = encode_reply(sample_reply());
   bytes.resize(bytes.size() / 2);

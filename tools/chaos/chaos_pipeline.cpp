@@ -223,14 +223,16 @@ bool run_seed(std::uint64_t seed, const Options& opt) {
       ok = true;
       std::fprintf(stderr,
                    "[chaos] seed %llu OK: %zu contigs identical "
-                   "(retries=%llu gst_reassigned=%llu workers_lost=%llu)\n",
+                   "(retries=%llu gst_reassigned=%llu workers_lost=%llu "
+                   "clusters_split=%zu)\n",
                    static_cast<unsigned long long>(seed), got.size(),
                    static_cast<unsigned long long>(
                        result.recovery.phase_retries),
                    static_cast<unsigned long long>(
                        result.cluster_stats.gst_buckets_reassigned),
                    static_cast<unsigned long long>(
-                       result.cluster_stats.workers_lost));
+                       result.cluster_stats.workers_lost),
+                   result.assembly_summary.clusters_split);
     } else {
       std::fprintf(stderr,
                    "[chaos] seed %llu FAIL: contig multiset diverged "
