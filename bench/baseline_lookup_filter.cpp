@@ -10,6 +10,7 @@
 //
 //   ./baseline_lookup_filter --bp 400000 --w 11
 #include "bench_util.hpp"
+#include "core/overlap_engine.hpp"
 #include "gst/lookup_filter.hpp"
 #include "gst/pair_generator.hpp"
 #include "gst/suffix_tree.hpp"
@@ -61,6 +62,7 @@ int main(int argc, char** argv) {
     gst::SuffixTree tree(doubled,
                          gst::GstParams{.min_match = psi, .prefix_w = 0});
     gst::PairGenerator gen(tree, {.dup_elim = true, .doubled_input = true});
+    core::OverlapEngine engine(doubled, overlap);
     util::UnionFind uf(pre.store.size());
     gst::PromisingPair p;
     while (gen.next(p)) {
@@ -68,8 +70,8 @@ int main(int argc, char** argv) {
       const std::uint32_t fa = p.seq_a >> 1, fb = p.seq_b >> 1;
       if (uf.same(fa, fb)) continue;
       ++run.aligned;
-      if (core::pair_overlaps(doubled, p.seq_a, p.pos_a, p.seq_b, p.pos_b,
-                              overlap)) {
+      if (align::accept_overlap(
+              engine.details(p.seq_a, p.pos_a, p.seq_b, p.pos_b), overlap)) {
         uf.unite(fa, fb);
       }
     }
@@ -86,6 +88,7 @@ int main(int argc, char** argv) {
     util::WallTimer timer;
     gst::LookupFilter filter(
         doubled, {.w = w, .doubled_input = true, .dedup_per_word = dedup});
+    core::OverlapEngine engine(doubled, overlap);
     util::UnionFind uf(pre.store.size());
     gst::PromisingPair p;
     while (filter.next(p)) {
@@ -93,8 +96,8 @@ int main(int argc, char** argv) {
       const std::uint32_t fa = p.seq_a >> 1, fb = p.seq_b >> 1;
       if (uf.same(fa, fb)) continue;
       ++run.aligned;
-      if (core::pair_overlaps(doubled, p.seq_a, p.pos_a, p.seq_b, p.pos_b,
-                              overlap)) {
+      if (align::accept_overlap(
+              engine.details(p.seq_a, p.pos_a, p.seq_b, p.pos_b), overlap)) {
         uf.unite(fa, fb);
       }
     }

@@ -1,5 +1,5 @@
 // Micro-benchmarks of the framework's kernels (google-benchmark):
-// alignment DP variants, GST construction, promising-pair generation,
+// the two overlap alignment kernels, GST construction, promising-pair generation,
 // union-find, reverse complement, k-mer extraction, vmpi messaging, and the
 // obs tracer/registry hot paths. Results also land in
 // BENCH_micro_kernels.json (google-benchmark's JSON schema).
@@ -9,9 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "align/linear_space.hpp"
 #include "align/overlap.hpp"
-#include "align/pairwise.hpp"
+#include "align/workspace.hpp"
 #include "gst/pair_generator.hpp"
 #include "gst/suffix_tree.hpp"
 #include "obs/metrics.hpp"
@@ -46,36 +45,13 @@ std::pair<std::vector<seq::Code>, std::vector<seq::Code>> overlap_pair(
   return {std::move(a), std::move(b)};
 }
 
-void BM_GlobalAlign(benchmark::State& state) {
-  util::Prng rng(1);
-  const auto len = static_cast<std::size_t>(state.range(0));
-  const auto a = random_dna(rng, len);
-  const auto b = random_dna(rng, len);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(align::global_align(a, b, align::Scoring{}));
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_GlobalAlign)->Arg(200)->Arg(400)->Arg(800)->Complexity();
-
-void BM_AffineAlign(benchmark::State& state) {
-  util::Prng rng(2);
-  const auto len = static_cast<std::size_t>(state.range(0));
-  const auto a = random_dna(rng, len);
-  const auto b = random_dna(rng, len);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        align::global_affine_align(a, b, align::Scoring{}));
-  }
-}
-BENCHMARK(BM_AffineAlign)->Arg(200)->Arg(400);
-
 void BM_OverlapAlignFull(benchmark::State& state) {
   util::Prng rng(3);
   const auto [a, b] = overlap_pair(rng, 600, 200);
+  align::Workspace ws;  // held across iterations, as the pipeline does
   for (auto _ : state) {
-    benchmark::DoNotOptimize(align::overlap_align(a, b, align::Scoring{}));
+    benchmark::DoNotOptimize(
+        align::overlap_align(a, b, align::Scoring{}, ws));
   }
 }
 BENCHMARK(BM_OverlapAlignFull);
@@ -84,9 +60,10 @@ void BM_BandedOverlapAlign(benchmark::State& state) {
   util::Prng rng(3);
   const auto [a, b] = overlap_pair(rng, 600, 200);
   const std::uint32_t band = static_cast<std::uint32_t>(state.range(0));
+  align::Workspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        align::banded_overlap_align(a, b, align::Scoring{}, -400, band));
+        align::banded_overlap_align(a, b, align::Scoring{}, -400, band, ws));
   }
 }
 BENCHMARK(BM_BandedOverlapAlign)->Arg(4)->Arg(10)->Arg(24);
@@ -125,45 +102,6 @@ void BM_PairGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PairGeneration);
-
-void BM_MyersEditDistance(benchmark::State& state) {
-  util::Prng rng(12);
-  const auto len = static_cast<std::size_t>(state.range(0));
-  const auto a = random_dna(rng, len);
-  auto b = a;
-  for (auto& c : b) {
-    if (rng.chance(0.05)) c = static_cast<seq::Code>((c + 1) % 4);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(align::myers_edit_distance(a, b));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MyersEditDistance)->Arg(200)->Arg(800)->Arg(3200);
-
-void BM_MyersBounded(benchmark::State& state) {
-  util::Prng rng(13);
-  const auto a = random_dna(rng, 800);
-  const auto b = random_dna(rng, 800);  // unrelated: bound exits early
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(align::myers_edit_distance_bounded(a, b, 40));
-  }
-}
-BENCHMARK(BM_MyersBounded);
-
-void BM_HirschbergAlign(benchmark::State& state) {
-  util::Prng rng(14);
-  const auto len = static_cast<std::size_t>(state.range(0));
-  const auto a = random_dna(rng, len);
-  auto b = a;
-  for (auto& c : b) {
-    if (rng.chance(0.05)) c = static_cast<seq::Code>((c + 1) % 4);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(align::hirschberg_align(a, b, align::Scoring{}));
-  }
-}
-BENCHMARK(BM_HirschbergAlign)->Arg(400)->Arg(1600);
 
 void BM_UnionFind(benchmark::State& state) {
   util::Prng rng(6);

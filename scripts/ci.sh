@@ -95,9 +95,9 @@ asan() {
   # and write stays inside the live extents.
   cmake -B build-asan -S . -DPGASM_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
-    --target test_align test_workspace test_linear_space test_cluster
+    --target test_align test_workspace test_cluster
   (cd build-asan && ctest --output-on-failure \
-    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|LinearSpace|Hirschberg|Cluster')
+    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|LinearSpace|Cluster')
 }
 
 lint() {
@@ -206,7 +206,7 @@ fuzz_smoke() {
   cmake -B build-ubsan -S . -DPGASM_SANITIZE=undefined
   cmake --build build-ubsan -j "$JOBS" \
     --target fuzz_wire fuzz_fasta fuzz_fastq fuzz_checkpoint fuzz_manifest \
-    fuzz_assemblies
+    fuzz_assemblies fuzz_exit_blob
   (cd build-ubsan && ctest --output-on-failure -L fuzz)
 }
 

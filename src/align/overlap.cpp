@@ -162,12 +162,6 @@ OverlapResult overlap_align(Seq a, Seq b, const Scoring& sc, Workspace& ws,
   return r;
 }
 
-OverlapResult overlap_align(Seq a, Seq b, const Scoring& sc,
-                            const AlignOptions& opts) {
-  Workspace ws;  // allocating path: fresh buffers every call
-  return overlap_align(a, b, sc, ws, opts);
-}
-
 OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
                                    std::int32_t shift, std::uint32_t band,
                                    Workspace& ws, const AlignOptions& opts) {
@@ -373,15 +367,6 @@ OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
   return r;
 }
 
-OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
-                                   std::int32_t shift, std::uint32_t band,
-                                   const AlignOptions& opts) {
-  // Per-thread workspace for callers that do not hold their own; olc
-  // assembly (overlaps and polish) is the highest-volume one.
-  thread_local Workspace ws;
-  return banded_overlap_align(a, b, sc, shift, band, ws, opts);
-}
-
 OverlapResult banded_overlap_align_reference(Seq a, Seq b, const Scoring& sc,
                                              std::int32_t shift,
                                              std::uint32_t band,
@@ -517,11 +502,6 @@ bool accept_overlap(const OverlapResult& r, const OverlapParams& p) noexcept {
   if (r.type == OverlapType::kNone) return false;
   if (r.overlap_len() < p.min_overlap) return false;
   return r.aln.identity() >= p.min_identity;
-}
-
-OverlapResult test_overlap(Seq a, Seq b, std::int32_t shift,
-                           const OverlapParams& p) {
-  return banded_overlap_align(a, b, p.scoring, shift, p.band);
 }
 
 void validate_overlap_params(const OverlapParams& p, std::uint32_t psi) {

@@ -7,14 +7,17 @@
 // the containment cases. The result is classified into dovetail /
 // containment types.
 //
-// Two variants:
-//   * overlap_align        — full O(|a||b|) matrix; used at low volume and as
-//                            the reference in tests.
+// Two kernels, both over a caller-held Workspace (align/workspace.hpp):
+//   * overlap_align        — full O(|a||b|) matrix; consensus validation
+//                            aligns contigs to the true genome with it, and
+//                            tests use it as the unbanded reference.
 //   * banded_overlap_align — restricted to a diagonal band around a seed
 //                            (the maximal match that generated the pair),
-//                            O((|a|+|b|)·band); this is the hot kernel the
-//                            clustering phase calls, "anchored to the maximal
-//                            matches" as in Section 5.
+//                            O((|a|+|b|)·band); this is the hot kernel that
+//                            clustering, assembly and polish call, "anchored
+//                            to the maximal matches" as in Section 5.
+// banded_overlap_align_reference is the fresh-memory oracle for the banded
+// kernel's dirty-buffer reuse.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +25,8 @@
 #include "align/pairwise.hpp"
 
 namespace pgasm::align {
+
+class Workspace;
 
 enum class OverlapType : std::uint8_t {
   kNone = 0,        ///< no acceptable overlap geometry
@@ -48,34 +53,25 @@ struct OverlapParams {
   std::uint32_t band = 12;         ///< half-width for the banded kernel
 };
 
-/// Full-matrix end-free alignment.
-OverlapResult overlap_align(Seq a, Seq b, const Scoring& sc,
-                            const AlignOptions& opts = {});
-
-/// Workspace variant of the full-matrix kernel: DP cells and traceback come
-/// from `ws` (grow-only, reused dirty) — no heap allocations after warmup
-/// unless opts.keep_ops asks for the op string.
+/// Full-matrix end-free alignment. DP cells and traceback come from `ws`
+/// (grow-only, reused dirty) — no heap allocations after warmup unless
+/// opts.keep_ops asks for the op string.
 OverlapResult overlap_align(Seq a, Seq b, const Scoring& sc, Workspace& ws,
                             const AlignOptions& opts = {});
 
 /// Banded end-free alignment around diagonal (j - i) == shift. For a seed
 /// maximal match at positions (pos_a, pos_b), pass shift = pos_b - pos_a.
-OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
-                                   std::int32_t shift, std::uint32_t band,
-                                   const AlignOptions& opts = {});
-
-/// Workspace variant of the banded kernel — the clustering hot path. Every
-/// in-band cell is written before any neighbor reads it, so the workspace
-/// buffers are reused dirty with no per-call clear.
+/// Every in-band cell is written before any neighbor reads it, so the
+/// workspace buffers are reused dirty with no per-call clear.
 OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
                                    std::int32_t shift, std::uint32_t band,
                                    Workspace& ws,
                                    const AlignOptions& opts = {});
 
-/// Pre-refactor banded kernel: fresh full-size buffers (allocated and
-/// cleared) every call. Kept as the baseline for bench/align_throughput and
-/// as the fresh-memory oracle for dirty-buffer reuse tests; bit-identical
-/// results to the workspace variant.
+/// Reference banded kernel: fresh full-size buffers (allocated and cleared)
+/// and explicit reachability guards every call. Kept as the baseline for
+/// bench/align_throughput and as the fresh-memory oracle for dirty-buffer
+/// reuse tests; bit-identical results to banded_overlap_align.
 OverlapResult banded_overlap_align_reference(Seq a, Seq b, const Scoring& sc,
                                              std::int32_t shift,
                                              std::uint32_t band,
@@ -89,9 +85,5 @@ void validate_overlap_params(const OverlapParams& p, std::uint32_t psi);
 
 /// Does this overlap pass the clustering accept test?
 bool accept_overlap(const OverlapResult& r, const OverlapParams& p) noexcept;
-
-/// Convenience: banded align with the params' scoring/band, then test.
-OverlapResult test_overlap(Seq a, Seq b, std::int32_t shift,
-                           const OverlapParams& p);
 
 }  // namespace pgasm::align

@@ -1,33 +1,28 @@
-// Pairwise dynamic-programming alignment kernels.
+// Shared alignment types: scoring, the traceback op string, and the result
+// record the overlap kernels (align/overlap.hpp) fill in.
 //
 // The paper detects overlaps "by computing alignments between the
 // corresponding pairs of fragments using standard dynamic programming
-// approaches" [Needleman–Wunsch, Smith–Waterman, Gotoh]. This module
-// provides those kernels over the code alphabet (masked symbols are
-// guaranteed mismatches) with full traceback so callers get the aligned
-// region, the identity, and optionally the operation string.
-//
-// Complexity: O(|a|·|b|) time, O(|a|·|b|) bytes for traceback. Fragments
-// are <= ~1000 bp, so a cell matrix is ~1 MB — the paper makes the same
-// tradeoff by restricting DP to filtered pairs.
+// approaches"; the only alignment it needs is the suffix–prefix overlap
+// test, so these types describe linear-gap end-free alignments over the
+// code alphabet (masked symbols are guaranteed mismatches).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "seq/alphabet.hpp"
 
 namespace pgasm::align {
 
-class Workspace;
-
 using seq::Code;
 using Seq = std::span<const Code>;
 
-/// Scoring parameters. Linear-gap kernels use `gap`; affine kernels use
-/// gap_open/gap_extend (first gap column costs gap_open + gap_extend).
+/// Scoring parameters: linear gaps, masked symbols never match. The
+/// affine costs gap_open/gap_extend are read by no kernel; they stay part
+/// of core::cluster_params_hash, so existing checkpoints keep their
+/// identity.
 struct Scoring {
   int match = 2;
   int mismatch = -3;
@@ -66,40 +61,5 @@ struct AlignResult {
 struct AlignOptions {
   bool keep_ops = false;  ///< retain the op string in the result
 };
-
-/// Global (Needleman–Wunsch) alignment with linear gap penalty.
-AlignResult global_align(Seq a, Seq b, const Scoring& sc,
-                         const AlignOptions& opts = {});
-
-/// Workspace variant: all DP rows and the traceback matrix come from `ws`
-/// (grow-only, reused across calls) — no heap allocations after warmup
-/// unless opts.keep_ops asks for the op string.
-AlignResult global_align(Seq a, Seq b, const Scoring& sc, Workspace& ws,
-                         const AlignOptions& opts = {});
-
-/// Global alignment with affine gaps (Gotoh).
-AlignResult global_affine_align(Seq a, Seq b, const Scoring& sc,
-                                const AlignOptions& opts = {});
-
-/// Local (Smith–Waterman) alignment, linear gaps.
-AlignResult local_align(Seq a, Seq b, const Scoring& sc,
-                        const AlignOptions& opts = {});
-
-/// Banded global alignment: only cells with |i - j - shift| <= band are
-/// explored. With a band covering the whole matrix this equals global_align.
-/// Storage is band-relative — O((|a|+1)·(2·band+1)) cells, not the full
-/// matrix stride.
-AlignResult banded_global_align(Seq a, Seq b, const Scoring& sc,
-                                std::int32_t shift, std::uint32_t band,
-                                const AlignOptions& opts = {});
-
-/// Workspace variant of the banded kernel (buffers reused dirty; every
-/// in-band cell is written before any neighbor reads it).
-AlignResult banded_global_align(Seq a, Seq b, const Scoring& sc,
-                                std::int32_t shift, std::uint32_t band,
-                                Workspace& ws, const AlignOptions& opts = {});
-
-/// Render an op string as three display lines (for examples/debugging).
-std::string format_alignment(Seq a, Seq b, const AlignResult& r);
 
 }  // namespace pgasm::align

@@ -42,9 +42,11 @@ bool ConsistencyResolver::implied_overlap_holds(std::uint32_t frag_x,
                   : y_to_f(0);
   const std::int32_t shift = static_cast<std::int32_t>(start_x - start_y);
   ++verifications_;
+  // The implied diagonal is only known to within the placement tolerance,
+  // so the band widens by it.
   const auto r = align::banded_overlap_align(
       sx, sy, params_.scoring, shift,
-      params_.band + static_cast<std::uint32_t>(tolerance_));
+      params_.band + static_cast<std::uint32_t>(tolerance_), ws_);
   return align::accept_overlap(r, params_);
 }
 

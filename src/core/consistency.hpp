@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "align/overlap.hpp"
+#include "align/workspace.hpp"
 #include "olc/layout.hpp"
 #include "seq/fragment_store.hpp"
 
@@ -66,6 +67,7 @@ class ConsistencyResolver {
   const seq::FragmentStore* doubled_;
   align::OverlapParams params_;
   std::int64_t tolerance_;
+  align::Workspace ws_;
   olc::LayoutUF layout_;
   std::vector<std::vector<std::uint32_t>> members_;  // frags by root
   std::uint64_t rejections_ = 0;

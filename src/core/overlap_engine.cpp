@@ -1,7 +1,5 @@
 #include "core/overlap_engine.hpp"
 
-#include <stdexcept>
-
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -26,13 +24,7 @@ void bind_instruments(int rank, obs::Counter*& pairs,
 
 OverlapEngine::OverlapEngine(const seq::FragmentStore& doubled,
                              const align::OverlapParams& params, int rank)
-    : doubled_(&doubled), params_(params) {
-  bind_instruments(rank, obs_pairs_, obs_batch_us_, obs_ws_bytes_,
-                   obs_allocs_, obs_allocs_avoided_);
-}
-
-OverlapEngine::OverlapEngine(const align::OverlapParams& params, int rank)
-    : params_(params) {
+    : doubled_(doubled), params_(params) {
   bind_instruments(rank, obs_pairs_, obs_batch_us_, obs_ws_bytes_,
                    obs_allocs_, obs_allocs_avoided_);
 }
@@ -41,10 +33,8 @@ align::OverlapResult OverlapEngine::details(std::uint32_t seq_a,
                                             std::uint32_t pos_a,
                                             std::uint32_t seq_b,
                                             std::uint32_t pos_b) {
-  if (!doubled_)
-    throw std::logic_error("OverlapEngine: no fragment store bound");
-  const auto a = doubled_->seq(seq_a);
-  const auto b = doubled_->seq(seq_b);
+  const auto a = doubled_.seq(seq_a);
+  const auto b = doubled_.seq(seq_b);
   const std::int32_t shift =
       static_cast<std::int32_t>(pos_b) - static_cast<std::int32_t>(pos_a);
   return align::banded_overlap_align(a, b, params_.scoring, shift,
@@ -78,18 +68,6 @@ std::vector<ResultMsg> OverlapEngine::run(std::span<const PairMsg> batch) {
   std::vector<ResultMsg> out;
   run(batch, out);
   return out;
-}
-
-align::OverlapResult OverlapEngine::full_align(align::Seq a, align::Seq b,
-                                               const align::AlignOptions& opts) {
-  return align::overlap_align(a, b, params_.scoring, ws_, opts);
-}
-
-align::OverlapResult OverlapEngine::banded_align(
-    align::Seq a, align::Seq b, std::int32_t shift,
-    const align::AlignOptions& opts) {
-  return align::banded_overlap_align(a, b, params_.scoring, shift,
-                                     params_.band, ws_, opts);
 }
 
 void OverlapEngine::note_batch(std::size_t pairs, double seconds) {

@@ -1,6 +1,6 @@
 // The shared overlap-compute engine: one persistent align::Workspace plus
-// the accept test, batch-oriented so serial clustering, parallel workers,
-// and consensus validation all run the exact same allocation-free kernel.
+// the accept test, batch-oriented so serial clustering and the parallel
+// workers run the exact same allocation-free kernel on store pairs.
 //
 // The paper's clustering phase spends essentially all of its time in the
 // banded suffix–prefix alignment "anchored to the maximal matches"
@@ -41,9 +41,8 @@ class OverlapEngine {
   /// through `doubled`). The store must outlive the engine.
   OverlapEngine(const seq::FragmentStore& doubled,
                 const align::OverlapParams& params, int rank = 0);
-  /// Store-less engine: only full_align/banded_align are usable (consensus
-  /// validation aligns ad-hoc sequences, not store fragments).
-  explicit OverlapEngine(const align::OverlapParams& params, int rank = 0);
+  OverlapEngine(seq::FragmentStore&&, const align::OverlapParams&,
+                int = 0) = delete;
 
   OverlapEngine(const OverlapEngine&) = delete;
   OverlapEngine& operator=(const OverlapEngine&) = delete;
@@ -61,15 +60,6 @@ class OverlapEngine {
   void run(std::span<const PairMsg> batch, std::vector<ResultMsg>& out);
   std::vector<ResultMsg> run(std::span<const PairMsg> batch);
 
-  /// Full-matrix end-free alignment on arbitrary sequences, sharing the
-  /// engine workspace (used by consensus validation).
-  align::OverlapResult full_align(align::Seq a, align::Seq b,
-                                  const align::AlignOptions& opts = {});
-  /// Banded end-free alignment on arbitrary sequences.
-  align::OverlapResult banded_align(align::Seq a, align::Seq b,
-                                    std::int32_t shift,
-                                    const align::AlignOptions& opts = {});
-
   const align::OverlapParams& params() const noexcept { return params_; }
   const align::Workspace& workspace() const noexcept { return ws_; }
   std::uint64_t pairs_aligned() const noexcept { return pairs_; }
@@ -77,7 +67,7 @@ class OverlapEngine {
  private:
   void note_batch(std::size_t pairs, double seconds);
 
-  const seq::FragmentStore* doubled_ = nullptr;
+  const seq::FragmentStore& doubled_;
   align::OverlapParams params_;
   align::Workspace ws_;
   std::uint64_t pairs_ = 0;

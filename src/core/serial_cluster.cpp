@@ -12,26 +12,6 @@
 
 namespace pgasm::core {
 
-align::OverlapResult pair_overlap_details(const seq::FragmentStore& doubled,
-                                           std::uint32_t seq_a,
-                                           std::uint32_t pos_a,
-                                           std::uint32_t seq_b,
-                                           std::uint32_t pos_b,
-                                           const align::OverlapParams& p) {
-  const auto a = doubled.seq(seq_a);
-  const auto b = doubled.seq(seq_b);
-  const std::int32_t shift =
-      static_cast<std::int32_t>(pos_b) - static_cast<std::int32_t>(pos_a);
-  return align::banded_overlap_align(a, b, p.scoring, shift, p.band);
-}
-
-bool pair_overlaps(const seq::FragmentStore& doubled, std::uint32_t seq_a,
-                   std::uint32_t pos_a, std::uint32_t seq_b,
-                   std::uint32_t pos_b, const align::OverlapParams& p) {
-  return align::accept_overlap(
-      pair_overlap_details(doubled, seq_a, pos_a, seq_b, pos_b, p), p);
-}
-
 void validate_cluster_params(const ClusterParams& params) {
   align::validate_overlap_params(params.overlap, params.psi);
 }

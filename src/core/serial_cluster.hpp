@@ -25,18 +25,4 @@ struct ClusterResult {
 ClusterResult cluster_serial(const seq::FragmentStore& fragments,
                              const ClusterParams& params);
 
-/// Shared helper: run the accept test for a promising pair expressed in
-/// doubled-store ids, anchored at its maximal match.
-bool pair_overlaps(const seq::FragmentStore& doubled, std::uint32_t seq_a,
-                   std::uint32_t pos_a, std::uint32_t seq_b,
-                   std::uint32_t pos_b, const align::OverlapParams& p);
-
-/// Same, but returns the full alignment result (for placement extraction).
-align::OverlapResult pair_overlap_details(const seq::FragmentStore& doubled,
-                                          std::uint32_t seq_a,
-                                          std::uint32_t pos_a,
-                                          std::uint32_t seq_b,
-                                          std::uint32_t pos_b,
-                                          const align::OverlapParams& p);
-
 }  // namespace pgasm::core

@@ -7,6 +7,7 @@
 #include <type_traits>
 #include <unordered_map>
 
+#include "align/workspace.hpp"
 #include "gst/pair_generator.hpp"
 #include "gst/suffix_tree.hpp"
 #include "obs/trace.hpp"
@@ -114,7 +115,8 @@ struct PolishTally {
 /// Banded-realign one placed fragment to the draft and add its votes.
 void polish_vote(const Contig& contig, const Placement& pl,
                  const seq::FragmentStore& fragments,
-                 const AssemblyParams& params, PolishTally tally) {
+                 const AssemblyParams& params, align::Workspace& ws,
+                 PolishTally tally) {
   const auto& draft = contig.consensus;
   const std::int64_t pad = params.polish_band;
   const align::Scoring scoring{};
@@ -139,7 +141,7 @@ void polish_vote(const Contig& contig, const Placement& pl,
   // spurious gap votes; only the genuinely aligned region votes.
   const auto ov = align::banded_overlap_align(
       read, window, scoring, static_cast<std::int32_t>(pl.offset - win_lo),
-      params.polish_band + 8, {.keep_ops = true});
+      params.polish_band + 8, ws, {.keep_ops = true});
   const auto& r = ov.aln;
   if (r.ops.empty()) return;  // band missed; this read abstains
   std::size_t i = r.a_begin;
@@ -238,7 +240,7 @@ bool polish_rebuild(Contig& contig, PolishTally tally) {
 /// contigs still polishing) is r mod team size; the integer sum of the
 /// tallies is the serial tally, so every member rebuilds the same drafts.
 void polish(std::vector<Contig>& contigs, const seq::FragmentStore& fragments,
-            const AssemblyParams& params, Team& team) {
+            const AssemblyParams& params, align::Workspace& ws, Team& team) {
   std::vector<std::size_t> active;
   for (std::size_t i = 0; i < contigs.size(); ++i) {
     if (!contigs[i].is_singleton() && !contigs[i].consensus.empty())
@@ -264,7 +266,7 @@ void polish(std::vector<Contig>& contigs, const seq::FragmentStore& fragments,
       const Contig& contig = contigs[active[a]];
       for (const Placement& pl : contig.layout) {
         if (placement++ % members == me) {
-          polish_vote(contig, pl, fragments, params, tally_of(a));
+          polish_vote(contig, pl, fragments, params, ws, tally_of(a));
         }
       }
     }
@@ -337,6 +339,9 @@ AssemblyResult assemble(const seq::FragmentStore& fragments,
   const auto me = static_cast<std::size_t>(team.rank());
   const bool split = team_size > 1;
   const bool is_owner = team.rank() == owner;
+  // One workspace serves every alignment of this call: the distinct-key
+  // overlaps and all polish rounds.
+  align::Workspace ws;
 
   // --- Overlap phase: member r aligns keys r, r + P, ... -------------------
   std::vector<Overlap> overlaps;
@@ -350,7 +355,7 @@ AssemblyResult assemble(const seq::FragmentStore& fragments,
       const PairPlan::Key& key = plan.keys[k];
       const auto r = align::banded_overlap_align(
           doubled.seq(key.seq_a), doubled.seq(key.seq_b),
-          params.overlap.scoring, key.shift, params.overlap.band);
+          params.overlap.scoring, key.shift, params.overlap.band, ws);
       KeyOutcome o;
       o.accepted = align::accept_overlap(r, params.overlap) ? 1 : 0;
       o.delta = static_cast<std::int32_t>(r.aln.a_begin) -
@@ -516,7 +521,7 @@ AssemblyResult assemble(const seq::FragmentStore& fragments,
 
   // --- Polish phase: realign-and-revote until stable -----------------------
   obs::Span polish_span = stage_span(team, "asm_polish");
-  polish(result.contigs, fragments, params, team);
+  polish(result.contigs, fragments, params, ws, team);
   return result;
 }
 

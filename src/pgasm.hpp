@@ -6,6 +6,7 @@
 
 #include "align/overlap.hpp"
 #include "align/pairwise.hpp"
+#include "align/workspace.hpp"
 #include "core/cluster_params.hpp"
 #include "core/consistency.hpp"
 #include "core/parallel_cluster.hpp"

@@ -5,7 +5,8 @@
 #include <numeric>
 #include <set>
 
-#include "core/overlap_engine.hpp"
+#include "align/overlap.hpp"
+#include "align/workspace.hpp"
 
 namespace pgasm::pipeline {
 
@@ -102,10 +103,11 @@ ConsensusAccuracy evaluate_consensus(
     const std::vector<sim::ReadTruth>& truth,
     std::span<const sim::Genome> genomes, std::uint64_t max_cells) {
   ConsensusAccuracy acc;
-  // One engine for the whole evaluation: contig-vs-genome alignments are
-  // large, and the persistent workspace keeps the peak buffer across
-  // contigs instead of reallocating per alignment.
-  core::OverlapEngine engine{align::OverlapParams{}};
+  // One workspace for the whole evaluation: contig-vs-genome alignments
+  // are large, and keeping the peak buffer across contigs avoids
+  // reallocating per alignment.
+  const align::Scoring scoring{};
+  align::Workspace ws;
   for (std::size_t ci = 0; ci < assemblies.size(); ++ci) {
     const auto& members = cluster_sets[ci];
     for (const auto& contig : assemblies[ci].contigs) {
@@ -143,9 +145,10 @@ ConsensusAccuracy evaluate_consensus(
       // align both ways, keep the better. End-free alignment lets the
       // (possibly longer) slice overhang for free.
       const align::AlignOptions opts{.keep_ops = true};
-      const auto fwd = engine.full_align(contig.consensus, slice, opts);
+      const auto fwd =
+          align::overlap_align(contig.consensus, slice, scoring, ws, opts);
       const auto rcv = seq::reverse_complement(contig.consensus);
-      const auto rev = engine.full_align(rcv, slice, opts);
+      const auto rev = align::overlap_align(rcv, slice, scoring, ws, opts);
       const bool use_rev = rev.aln.score > fwd.aln.score;
       const auto& best = use_rev ? rev : fwd;
       ++acc.contigs_evaluated;

@@ -349,18 +349,6 @@ void ProcTransport::crash_self(int self, const std::string& why) {
 
 namespace {
 
-constexpr std::uint32_t kBlobMagic = 0x42565047;  // "PGVB"
-constexpr std::uint32_t kBlobVersion = 1;
-constexpr std::uint32_t kNoString = 0xffffffff;
-
-enum class ExitKind : std::uint8_t {
-  kOk = 0,
-  kError = 1,    ///< body threw (message preserved)
-  kTimeout = 2,  ///< body threw TimeoutError
-  kAbort = 3,    ///< body saw the run abort
-  kKilled = 4,   ///< body threw KilledError (simulated crash, unwound)
-};
-
 void put_u8(std::string& b, std::uint8_t v) {
   b.push_back(static_cast<char>(v));
 }
@@ -378,15 +366,23 @@ void put_str(std::string& b, std::string_view s) {
   b.append(s.data(), s.size());
 }
 
+// Smallest encoding of each counted record, for the count-vs-bytes check.
+constexpr std::size_t kStashEntryBytes = 4 + 8;
+constexpr std::size_t kStringBytes = 4;
+constexpr std::size_t kRingBytes = 4 + 8 + 8;
+constexpr std::size_t kEventBytes = 6 * 4 + 1 + 6 * 8;
+constexpr std::size_t kMetricBytes = 1 + 4 + 4 + 4 + 8;
+constexpr std::size_t kBucketBytes = 4 + 8;
+
 /// Bounds-checked reader over a blob's bytes. Any overrun latches ok=false
-/// and zero-fills, so a truncated blob degrades to "rank shipped nothing"
-/// rather than UB.
+/// and zero-fills, so the decoder can read a record and check ok once.
 struct BlobReader {
-  const std::string& b;
+  std::string_view b;
   std::size_t off = 0;
   bool ok = true;
 
   bool take(void* out, std::size_t n) {
+    if (n == 0) return ok;  // out may be null (an empty stash entry)
     if (!ok || b.size() - off < n) {
       ok = false;
       std::memset(out, 0, n);
@@ -395,6 +391,12 @@ struct BlobReader {
     std::memcpy(out, b.data() + off, n);
     off += n;
     return true;
+  }
+  /// Could `count` records of at least `min_bytes` each still follow?
+  /// Checked before anything sized by `count` is allocated.
+  bool fits(std::uint64_t count, std::size_t min_bytes) {
+    ok = ok && count <= (b.size() - off) / min_bytes;
+    return ok;
   }
   std::uint8_t u8() {
     std::uint8_t v;
@@ -418,15 +420,200 @@ struct BlobReader {
   }
   std::string str() {
     const std::uint32_t n = u32();
-    if (!ok || b.size() - off < n) {
-      ok = false;
-      return {};
-    }
+    if (!fits(n, 1)) return {};
     std::string s(b.data() + off, n);
     off += n;
     return s;
   }
 };
+
+}  // namespace
+
+std::string encode_exit_blob(const ExitBlob& blob) {
+  std::string b;
+  put_u32(b, ExitBlob::kMagic);
+  put_u32(b, ExitBlob::kVersion);
+  put_u32(b, static_cast<std::uint32_t>(blob.rank));
+  put_u8(b, static_cast<std::uint8_t>(blob.kind));
+  put_str(b, blob.error);
+  put_u64(b, blob.epoch_ns);
+  const RankLedger& l = blob.ledger;
+  put_u64(b, l.msgs_sent);
+  put_u64(b, l.bytes_sent);
+  put_u64(b, l.msgs_recv);
+  put_u64(b, l.bytes_recv);
+  put_f64(b, l.compute_seconds);
+  put_f64(b, l.comm_seconds);
+  put_u32(b, static_cast<std::uint32_t>(blob.stash.size()));
+  for (const auto& [key, bytes] : blob.stash) {
+    put_u32(b, key);
+    put_u64(b, bytes.size());
+    b.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  }
+  put_u8(b, blob.traced ? 1 : 0);
+  if (blob.traced) {
+    put_u32(b, static_cast<std::uint32_t>(blob.strings.size()));
+    for (const auto& str : blob.strings) put_str(b, str);
+    put_u32(b, static_cast<std::uint32_t>(blob.rings.size()));
+    for (const ExitBlob::Ring& ring : blob.rings) {
+      put_u32(b, static_cast<std::uint32_t>(ring.rank));
+      put_u64(b, ring.dropped);
+      put_u64(b, ring.events.size());
+      for (const ExitBlob::Event& ev : ring.events) {
+        put_u32(b, ev.name);
+        put_u32(b, ev.cat);
+        put_u8(b, ev.kind);
+        put_u64(b, ev.ts_us);
+        put_u64(b, ev.dur_us);
+        put_u64(b, ev.cpu_us);
+        for (std::size_t k = 0; k < 3; ++k) {
+          put_u32(b, ev.arg_name[k]);
+          put_u64(b, ev.arg[k]);
+        }
+        put_u32(b, ev.phase);
+      }
+    }
+  }
+  put_u32(b, static_cast<std::uint32_t>(blob.metrics.size()));
+  for (const obs::MetricSample& m : blob.metrics) {
+    put_u8(b, static_cast<std::uint8_t>(m.kind));
+    put_str(b, m.key.name);
+    put_u32(b, static_cast<std::uint32_t>(m.key.rank));
+    put_str(b, m.key.phase);
+    switch (m.kind) {
+      case obs::MetricSample::Kind::kCounter:
+        put_u64(b, m.counter_value);
+        break;
+      case obs::MetricSample::Kind::kGauge:
+        put_f64(b, m.gauge_value);
+        break;
+      case obs::MetricSample::Kind::kHistogram:
+        put_u32(b, static_cast<std::uint32_t>(m.buckets.size()));
+        for (const auto& [bucket, n] : m.buckets) {
+          put_u32(b, static_cast<std::uint32_t>(bucket));
+          put_u64(b, n);
+        }
+        put_u64(b, m.hist_sum);
+        break;
+    }
+  }
+  return b;
+}
+
+std::optional<ExitBlob> decode_exit_blob(std::string_view bytes) {
+  BlobReader r{bytes};
+  ExitBlob blob;
+  if (r.u32() != ExitBlob::kMagic || r.u32() != ExitBlob::kVersion) {
+    return std::nullopt;
+  }
+  blob.rank = static_cast<int>(r.u32());
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(ExitKind::kKilled)) return std::nullopt;
+  blob.kind = static_cast<ExitKind>(kind);
+  blob.error = r.str();
+  blob.epoch_ns = r.u64();
+  RankLedger& l = blob.ledger;
+  l.msgs_sent = r.u64();
+  l.bytes_sent = r.u64();
+  l.msgs_recv = r.u64();
+  l.bytes_recv = r.u64();
+  l.compute_seconds = r.f64();
+  l.comm_seconds = r.f64();
+
+  const std::uint32_t stash_count = r.u32();
+  if (!r.fits(stash_count, kStashEntryBytes)) return std::nullopt;
+  for (std::uint32_t i = 0; r.ok && i < stash_count; ++i) {
+    const std::uint32_t key = r.u32();
+    const std::uint64_t len = r.u64();
+    // Keys are written ascending; anything else would not re-encode.
+    if (!r.fits(len, 1) ||
+        (!blob.stash.empty() && key <= blob.stash.rbegin()->first)) {
+      return std::nullopt;
+    }
+    auto& slot = blob.stash[key];
+    slot.resize(static_cast<std::size_t>(len));
+    r.take(slot.data(), slot.size());
+  }
+
+  const std::uint8_t traced = r.u8();
+  if (traced > 1) return std::nullopt;
+  blob.traced = traced == 1;
+  if (blob.traced) {
+    const std::uint32_t nstrings = r.u32();
+    if (!r.fits(nstrings, kStringBytes)) return std::nullopt;
+    blob.strings.reserve(nstrings);
+    for (std::uint32_t i = 0; r.ok && i < nstrings; ++i) {
+      blob.strings.push_back(r.str());
+    }
+    const auto indexes = [&blob](std::uint32_t idx) {
+      return idx == ExitBlob::kNoString || idx < blob.strings.size();
+    };
+    const std::uint32_t nrings = r.u32();
+    if (!r.fits(nrings, kRingBytes)) return std::nullopt;
+    blob.rings.resize(nrings);
+    for (ExitBlob::Ring& ring : blob.rings) {
+      ring.rank = static_cast<int>(r.u32());
+      ring.dropped = r.u64();
+      const std::uint64_t nevents = r.u64();
+      if (!r.fits(nevents, kEventBytes)) return std::nullopt;
+      ring.events.resize(static_cast<std::size_t>(nevents));
+      for (ExitBlob::Event& ev : ring.events) {
+        ev.name = r.u32();
+        ev.cat = r.u32();
+        ev.kind = r.u8();
+        ev.ts_us = r.u64();
+        ev.dur_us = r.u64();
+        ev.cpu_us = r.u64();
+        for (std::size_t k = 0; k < 3; ++k) {
+          ev.arg_name[k] = r.u32();
+          ev.arg[k] = r.u64();
+        }
+        ev.phase = r.u32();
+        if (!r.ok || ev.kind > 1 || !indexes(ev.name) || !indexes(ev.cat) ||
+            !indexes(ev.arg_name[0]) || !indexes(ev.arg_name[1]) ||
+            !indexes(ev.arg_name[2]) || !indexes(ev.phase)) {
+          return std::nullopt;
+        }
+      }
+    }
+  }
+
+  const std::uint32_t nmetrics = r.u32();
+  if (!r.fits(nmetrics, kMetricBytes)) return std::nullopt;
+  blob.metrics.resize(nmetrics);
+  for (obs::MetricSample& m : blob.metrics) {
+    const std::uint8_t mkind = r.u8();
+    m.key.name = r.str();
+    m.key.rank = static_cast<int>(r.u32());
+    m.key.phase = r.str();
+    if (mkind == 0) {
+      m.kind = obs::MetricSample::Kind::kCounter;
+      m.counter_value = r.u64();
+    } else if (mkind == 1) {
+      m.kind = obs::MetricSample::Kind::kGauge;
+      m.gauge_value = r.f64();
+    } else if (mkind == 2) {
+      m.kind = obs::MetricSample::Kind::kHistogram;
+      const std::uint32_t nbuckets = r.u32();
+      if (!r.fits(nbuckets, kBucketBytes)) return std::nullopt;
+      m.buckets.resize(nbuckets);
+      for (auto& [bucket, n] : m.buckets) {
+        bucket = static_cast<int>(r.u32());
+        n = r.u64();
+        if (bucket < 0 || bucket >= obs::Histogram::kNumBuckets) {
+          return std::nullopt;
+        }
+      }
+      m.hist_sum = r.u64();
+    } else {
+      return std::nullopt;  // unknown record: reject rather than misread
+    }
+  }
+  if (!r.ok || r.off != bytes.size()) return std::nullopt;
+  return blob;
+}
+
+namespace {
 
 std::string blob_path(const std::string& dir, int rank) {
   return dir + "/rank_" + std::to_string(rank) + ".blob";
@@ -451,169 +638,107 @@ ObsBaseline capture_obs_baseline() {
   return base;
 }
 
-/// Index of a string in the blob's string table, interning on first use.
-std::uint32_t strtab_index(std::map<std::string, std::uint32_t>& table,
-                           std::vector<std::string>& order, const char* s) {
-  if (s == nullptr) return kNoString;
-  auto it = table.find(s);
-  if (it != table.end()) return it->second;
-  const auto idx = static_cast<std::uint32_t>(order.size());
-  table.emplace(s, idx);
-  order.emplace_back(s);
-  return idx;
-}
-
-void append_trace_section(std::string& b, const ObsBaseline& base) {
-  if (!obs::tracer().enabled()) {
-    put_u8(b, 0);
-    return;
-  }
-  put_u8(b, 1);
+/// The child's trace events recorded since fork, with a string table.
+void capture_trace(ExitBlob& blob, const ObsBaseline& base) {
+  blob.traced = obs::tracer().enabled();
+  if (!blob.traced) return;
   std::map<std::string, std::uint32_t> table;
-  std::vector<std::string> order;
-  std::uint32_t ring_count = 0;
-  std::string rings;
+  const auto index = [&](const char* s) -> std::uint32_t {
+    if (s == nullptr) return ExitBlob::kNoString;
+    const auto [it, fresh] = table.try_emplace(
+        s, static_cast<std::uint32_t>(blob.strings.size()));
+    if (fresh) blob.strings.emplace_back(s);
+    return it->second;
+  };
   const auto dropped_now = obs::tracer().dropped_by_rank();
   for (const auto& [rank, evs] : obs::tracer().drain_all()) {
+    ExitBlob::Ring ring;
+    ring.rank = rank;
     std::uint64_t first_seq = 0;
     if (const auto it = base.ring_seq.find(rank); it != base.ring_seq.end()) {
       first_seq = it->second;
     }
-    std::uint64_t dropped_delta = 0;
     if (const auto it = dropped_now.find(rank); it != dropped_now.end()) {
-      dropped_delta = it->second;
+      ring.dropped = it->second;
       if (const auto bit = base.ring_dropped.find(rank);
           bit != base.ring_dropped.end()) {
-        dropped_delta -= bit->second;
+        ring.dropped -= bit->second;
       }
     }
-    std::uint64_t count = 0;
-    std::string ring_events;
     for (const obs::TraceEvent& ev : evs) {
       if (ev.seq < first_seq) continue;  // inherited from the parent
-      ++count;
-      put_u32(ring_events, strtab_index(table, order, ev.name));
-      put_u32(ring_events, strtab_index(table, order, ev.cat));
-      put_u8(ring_events, static_cast<std::uint8_t>(ev.kind));
-      put_u64(ring_events, ev.ts_us);
-      put_u64(ring_events, ev.dur_us);
-      put_u64(ring_events, ev.cpu_us);
-      put_u32(ring_events, strtab_index(table, order, ev.arg0_name));
-      put_u64(ring_events, ev.arg0);
-      put_u32(ring_events, strtab_index(table, order, ev.arg1_name));
-      put_u64(ring_events, ev.arg1);
-      put_u32(ring_events, strtab_index(table, order, ev.arg2_name));
-      put_u64(ring_events, ev.arg2);
-      put_u32(ring_events, strtab_index(table, order, ev.phase));
+      ring.events.push_back(
+          {.name = index(ev.name),
+           .cat = index(ev.cat),
+           .kind = static_cast<std::uint8_t>(ev.kind),
+           .ts_us = ev.ts_us,
+           .dur_us = ev.dur_us,
+           .cpu_us = ev.cpu_us,
+           .arg_name = {index(ev.arg0_name), index(ev.arg1_name),
+                        index(ev.arg2_name)},
+           .arg = {ev.arg0, ev.arg1, ev.arg2},
+           .phase = index(ev.phase)});
     }
-    if (count == 0 && dropped_delta == 0) continue;
-    ++ring_count;
-    put_u32(rings, static_cast<std::uint32_t>(rank));
-    put_u64(rings, dropped_delta);
-    put_u64(rings, count);
-    rings += ring_events;
+    if (ring.events.empty() && ring.dropped == 0) continue;
+    blob.rings.push_back(std::move(ring));
   }
-  put_u32(b, static_cast<std::uint32_t>(order.size()));
-  for (const auto& s : order) put_str(b, s);
-  put_u32(b, ring_count);
-  b += rings;
 }
 
-void append_metrics_section(std::string& b, const ObsBaseline& base) {
+/// The child's metric changes since fork; unchanged instruments are left
+/// out.
+void capture_metrics(ExitBlob& blob, const ObsBaseline& base) {
   std::map<std::tuple<std::string, std::string, int>, const obs::MetricSample*>
       base_by_key;
   for (const auto& s : base.metrics) {
     base_by_key[{s.key.name, s.key.phase, s.key.rank}] = &s;
   }
-  const auto now = obs::registry().snapshot();
-  std::uint32_t count = 0;
-  std::string body;
-  for (const auto& s : now) {
+  for (obs::MetricSample s : obs::registry().snapshot()) {
     const obs::MetricSample* prior = nullptr;
     if (const auto it = base_by_key.find({s.key.name, s.key.phase, s.key.rank});
         it != base_by_key.end()) {
       prior = it->second;
     }
     switch (s.kind) {
-      case obs::MetricSample::Kind::kCounter: {
-        const std::uint64_t delta =
-            s.counter_value - (prior != nullptr ? prior->counter_value : 0);
-        if (delta == 0) continue;
-        put_u8(body, 0);
-        put_str(body, s.key.name);
-        put_u32(body, static_cast<std::uint32_t>(s.key.rank));
-        put_str(body, s.key.phase);
-        put_u64(body, delta);
+      case obs::MetricSample::Kind::kCounter:
+        if (prior != nullptr) s.counter_value -= prior->counter_value;
+        if (s.counter_value == 0) continue;
         break;
-      }
-      case obs::MetricSample::Kind::kGauge: {
+      case obs::MetricSample::Kind::kGauge:
         if (prior != nullptr && prior->gauge_value == s.gauge_value) continue;
-        put_u8(body, 1);
-        put_str(body, s.key.name);
-        put_u32(body, static_cast<std::uint32_t>(s.key.rank));
-        put_str(body, s.key.phase);
-        put_f64(body, s.gauge_value);
         break;
-      }
       case obs::MetricSample::Kind::kHistogram: {
         std::map<int, std::uint64_t> deltas;
         for (const auto& [bucket, n] : s.buckets) deltas[bucket] = n;
-        std::uint64_t sum_delta = s.hist_sum;
         if (prior != nullptr) {
-          sum_delta -= prior->hist_sum;
+          s.hist_sum -= prior->hist_sum;
           for (const auto& [bucket, n] : prior->buckets) deltas[bucket] -= n;
         }
-        std::uint32_t nonzero = 0;
+        s.buckets.clear();
         for (const auto& [bucket, n] : deltas) {
-          if (n != 0) ++nonzero;
+          if (n != 0) s.buckets.emplace_back(bucket, n);
         }
-        if (nonzero == 0 && sum_delta == 0) continue;
-        put_u8(body, 2);
-        put_str(body, s.key.name);
-        put_u32(body, static_cast<std::uint32_t>(s.key.rank));
-        put_str(body, s.key.phase);
-        put_u32(body, nonzero);
-        for (const auto& [bucket, n] : deltas) {
-          if (n == 0) continue;
-          put_u32(body, static_cast<std::uint32_t>(bucket));
-          put_u64(body, n);
-        }
-        put_u64(body, sum_delta);
+        if (s.buckets.empty() && s.hist_sum == 0) continue;
         break;
       }
     }
-    ++count;
+    blob.metrics.push_back(std::move(s));
   }
-  put_u32(b, count);
-  b += body;
 }
 
 /// Serialize and atomically publish (tmp + rename) rank's exit blob.
 void write_exit_blob(const std::string& dir, int rank, const Comm& comm,
                      ExitKind kind, const std::string& error,
                      const ObsBaseline& base) {
-  std::string b;
-  put_u32(b, kBlobMagic);
-  put_u32(b, kBlobVersion);
-  put_u32(b, static_cast<std::uint32_t>(rank));
-  put_u8(b, static_cast<std::uint8_t>(kind));
-  put_str(b, error);
-  put_u64(b, obs::tracer().epoch_ns());
-  const RankLedger& l = const_cast<Comm&>(comm).ledger();
-  put_u64(b, l.msgs_sent);
-  put_u64(b, l.bytes_sent);
-  put_u64(b, l.msgs_recv);
-  put_u64(b, l.bytes_recv);
-  put_f64(b, l.compute_seconds);
-  put_f64(b, l.comm_seconds);
-  put_u32(b, static_cast<std::uint32_t>(comm.stash().size()));
-  for (const auto& [key, bytes] : comm.stash()) {
-    put_u32(b, key);
-    put_u64(b, bytes.size());
-    b.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  }
-  append_trace_section(b, base);
-  append_metrics_section(b, base);
+  ExitBlob blob;
+  blob.rank = rank;
+  blob.kind = kind;
+  blob.error = error;
+  blob.epoch_ns = obs::tracer().epoch_ns();
+  blob.ledger = const_cast<Comm&>(comm).ledger();
+  blob.stash = comm.stash();
+  capture_trace(blob, base);
+  capture_metrics(blob, base);
+  const std::string b = encode_exit_blob(blob);
 
   const std::string tmp = dir + "/rank_" + std::to_string(rank) + ".tmp";
   {
@@ -629,51 +754,26 @@ struct ChildError {
   std::string message;
 };
 
-/// Parse rank's exit blob (if present) into the run's merged cost, the
-/// global tracer/registry, and the per-rank error slot. A missing or
+/// Merge rank's exit blob (if present and well-formed) into the run's cost,
+/// the global tracer/registry, and the per-rank error slot. A missing or
 /// corrupt blob means the rank died without unwinding (SIGKILL) — its
 /// ledger and stash are simply lost, like a crashed machine's.
 void merge_exit_blob(const std::string& dir, int rank, RunCost* cost,
                      ChildError* error) {
-  std::string b;
+  std::string bytes;
   {
     std::ifstream in(blob_path(dir, rank), std::ios::binary);
     if (!in.is_open()) return;
     std::ostringstream data;
     data << in.rdbuf();
-    b = std::move(data).str();
+    bytes = std::move(data).str();
   }
-  BlobReader r{b};
-  if (r.u32() != kBlobMagic || r.u32() != kBlobVersion) return;
-  if (static_cast<int>(r.u32()) != rank) return;
-  error->kind = static_cast<ExitKind>(r.u8());
-  error->message = r.str();
-  const std::uint64_t child_epoch_ns = r.u64();
-
-  RankLedger ledger;
-  ledger.msgs_sent = r.u64();
-  ledger.bytes_sent = r.u64();
-  ledger.msgs_recv = r.u64();
-  ledger.bytes_recv = r.u64();
-  ledger.compute_seconds = r.f64();
-  ledger.comm_seconds = r.f64();
-
-  StashMap stash;
-  const std::uint32_t stash_count = r.u32();
-  for (std::uint32_t i = 0; r.ok && i < stash_count; ++i) {
-    const std::uint32_t key = r.u32();
-    const std::uint64_t len = r.u64();
-    if (!r.ok || b.size() - r.off < len) {
-      r.ok = false;
-      break;
-    }
-    auto& slot = stash[key];
-    slot.resize(static_cast<std::size_t>(len));
-    r.take(slot.data(), static_cast<std::size_t>(len));
-  }
-  if (!r.ok) return;
-  cost->per_rank[static_cast<std::size_t>(rank)] = ledger;
-  cost->stash[static_cast<std::size_t>(rank)] = std::move(stash);
+  std::optional<ExitBlob> blob = decode_exit_blob(bytes);
+  if (!blob || blob->rank != rank) return;
+  error->kind = blob->kind;
+  error->message = std::move(blob->error);
+  cost->per_rank[static_cast<std::size_t>(rank)] = blob->ledger;
+  cost->stash[static_cast<std::size_t>(rank)] = std::move(blob->stash);
 
   // Trace events: align child timestamps onto the parent's epoch and
   // re-record into the parent's rings. Epochs are normally identical (the
@@ -681,87 +781,65 @@ void merge_exit_blob(const std::string& dir, int rank, RunCost* cost,
   // still carries it so a divergent epoch cannot silently skew the
   // timeline. Strings are interned to restore TraceEvent's static-lifetime
   // contract.
-  if (r.u8() != 0) {
-    const std::uint32_t nstrings = r.u32();
+  if (blob->traced && obs::tracer().enabled()) {
     std::vector<const char*> strings;
-    strings.reserve(nstrings);
-    for (std::uint32_t i = 0; r.ok && i < nstrings; ++i) {
-      strings.push_back(obs::intern_string(r.str()));
+    strings.reserve(blob->strings.size());
+    for (const auto& str : blob->strings) {
+      strings.push_back(obs::intern_string(str));
     }
     const auto str_at = [&strings](std::uint32_t idx) -> const char* {
-      if (idx == kNoString) return nullptr;
-      return idx < strings.size() ? strings[idx] : "";
+      return idx == ExitBlob::kNoString ? nullptr : strings[idx];
+    };
+    const auto name_at = [&str_at](std::uint32_t idx) -> const char* {
+      const char* s = str_at(idx);
+      return s != nullptr ? s : "";
     };
     const std::int64_t epoch_skew_us =
-        (static_cast<std::int64_t>(child_epoch_ns) -
+        (static_cast<std::int64_t>(blob->epoch_ns) -
          static_cast<std::int64_t>(obs::tracer().epoch_ns())) /
         1000;
-    const std::uint32_t nrings = r.u32();
-    for (std::uint32_t i = 0; r.ok && i < nrings; ++i) {
-      const int ring_rank = static_cast<int>(r.u32());
-      const std::uint64_t dropped_delta = r.u64();
-      const std::uint64_t nevents = r.u64();
-      obs::RankRing* ring =
-          obs::tracer().enabled() ? obs::tracer().ring(ring_rank) : nullptr;
-      for (std::uint64_t e = 0; r.ok && e < nevents; ++e) {
+    for (const ExitBlob::Ring& ring : blob->rings) {
+      obs::RankRing* rr = obs::tracer().ring(ring.rank);
+      for (const ExitBlob::Event& e : ring.events) {
         obs::TraceEvent ev;
-        const char* name = str_at(r.u32());
-        const char* cat = str_at(r.u32());
-        ev.name = name != nullptr ? name : "";
-        ev.cat = cat != nullptr ? cat : "";
-        ev.kind = static_cast<obs::TraceEvent::Kind>(r.u8());
-        ev.rank = ring_rank;
-        const std::uint64_t ts = r.u64();
-        ev.ts_us = static_cast<std::uint64_t>(
-            std::max<std::int64_t>(0, static_cast<std::int64_t>(ts) +
-                                          epoch_skew_us));
-        ev.dur_us = r.u64();
-        ev.cpu_us = r.u64();
-        ev.arg0_name = str_at(r.u32());
-        ev.arg0 = r.u64();
-        ev.arg1_name = str_at(r.u32());
-        ev.arg1 = r.u64();
-        ev.arg2_name = str_at(r.u32());
-        ev.arg2 = r.u64();
-        const char* phase = str_at(r.u32());
-        ev.phase = phase != nullptr ? phase : "";
-        if (r.ok && ring != nullptr) ring->record(ev);
+        ev.name = name_at(e.name);
+        ev.cat = name_at(e.cat);
+        ev.kind = static_cast<obs::TraceEvent::Kind>(e.kind);
+        ev.rank = ring.rank;
+        ev.ts_us = static_cast<std::uint64_t>(std::max<std::int64_t>(
+            0, static_cast<std::int64_t>(e.ts_us) + epoch_skew_us));
+        ev.dur_us = e.dur_us;
+        ev.cpu_us = e.cpu_us;
+        ev.arg0_name = str_at(e.arg_name[0]);
+        ev.arg0 = e.arg[0];
+        ev.arg1_name = str_at(e.arg_name[1]);
+        ev.arg1 = e.arg[1];
+        ev.arg2_name = str_at(e.arg_name[2]);
+        ev.arg2 = e.arg[2];
+        ev.phase = name_at(e.phase);
+        rr->record(ev);
       }
-      if (r.ok && ring != nullptr && dropped_delta != 0) {
-        ring->add_dropped(dropped_delta);
-      }
+      if (ring.dropped != 0) rr->add_dropped(ring.dropped);
     }
   }
 
   // Metric deltas fold into the parent's registry.
-  const std::uint32_t nmetrics = r.u32();
   auto& reg = obs::registry();
-  for (std::uint32_t i = 0; r.ok && i < nmetrics; ++i) {
-    const std::uint8_t kind = r.u8();
-    const std::string name = r.str();
-    const int mrank = static_cast<int>(r.u32());
-    const std::string phase = r.str();
-    if (kind == 0) {
-      const std::uint64_t delta = r.u64();
-      if (r.ok) reg.counter(name, mrank, phase).inc(delta);
-    } else if (kind == 1) {
-      const double value = r.f64();
-      if (r.ok) reg.gauge(name, mrank, phase).set(value);
-    } else if (kind == 2) {
-      const std::uint32_t nbuckets = r.u32();
-      obs::Histogram* h = r.ok ? &reg.histogram(name, mrank, phase) : nullptr;
-      for (std::uint32_t j = 0; r.ok && j < nbuckets; ++j) {
-        const int bucket = static_cast<int>(r.u32());
-        const std::uint64_t n = r.u64();
-        if (r.ok && h != nullptr && bucket >= 0 &&
-            bucket < obs::Histogram::kNumBuckets) {
-          h->merge_bucket(bucket, n);
-        }
+  for (const obs::MetricSample& m : blob->metrics) {
+    const auto& k = m.key;
+    switch (m.kind) {
+      case obs::MetricSample::Kind::kCounter:
+        reg.counter(k.name, k.rank, k.phase).inc(m.counter_value);
+        break;
+      case obs::MetricSample::Kind::kGauge:
+        reg.gauge(k.name, k.rank, k.phase).set(m.gauge_value);
+        break;
+      case obs::MetricSample::Kind::kHistogram: {
+        obs::Histogram& h = reg.histogram(k.name, k.rank, k.phase);
+        for (const auto& [bucket, n] : m.buckets) h.merge_bucket(bucket, n);
+        h.merge_sum(m.hist_sum);
+        break;
       }
-      const std::uint64_t sum_delta = r.u64();
-      if (r.ok && h != nullptr) h->merge_sum(sum_delta);
-    } else {
-      return;  // unknown record: stop parsing rather than misinterpret
     }
   }
 }
@@ -845,13 +923,19 @@ RunCost Runtime::run_proc(const std::function<void(Comm&)>& body) {
     throw std::runtime_error("proc transport: mkdtemp failed");
   }
   const std::string blob_dir = dir_template;
-  const auto cleanup_dir = [&blob_dir, p] {
-    for (int r = 1; r < p; ++r) {
-      ::unlink(blob_path(blob_dir, r).c_str());
-      ::unlink((blob_dir + "/rank_" + std::to_string(r) + ".tmp").c_str());
+  // Removes the blobs and their directory on every way out of this call,
+  // exceptions included (forked children _exit and never run it).
+  struct BlobDirCleanup {
+    const std::string& dir;
+    int p;
+    ~BlobDirCleanup() {
+      for (int r = 1; r < p; ++r) {
+        ::unlink(blob_path(dir, r).c_str());
+        ::unlink((dir + "/rank_" + std::to_string(r) + ".tmp").c_str());
+      }
+      ::rmdir(dir.c_str());
     }
-    ::rmdir(blob_dir.c_str());
-  };
+  } cleanup_dir{blob_dir, p};
 
   ProcTransport tp(p, proc_ring_bytes_);
 
@@ -869,7 +953,6 @@ RunCost Runtime::run_proc(const std::function<void(Comm&)>& body) {
         int status = 0;
         ::waitpid(pids[static_cast<std::size_t>(k)], &status, 0);
       }
-      cleanup_dir();
       throw std::runtime_error("proc transport: fork failed: " +
                                std::string(std::strerror(errno)));
     }
@@ -957,7 +1040,6 @@ RunCost Runtime::run_proc(const std::function<void(Comm&)>& body) {
   }
   cost.faults = tp.counters().snapshot();
   publish_cost(cost);
-  cleanup_dir();
 
   const int fer = tp.first_error_rank();
   if (fer == 0 && rank0_error != nullptr) {

@@ -18,13 +18,18 @@
 // mailboxes do not have.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "vmpi/cost_model.hpp"
 #include "vmpi/shm_ring.hpp"
 #include "vmpi/transport.hpp"
 
@@ -119,5 +124,58 @@ class ProcTransport final : public Transport {
   std::vector<Assembly> assembly_;         ///< per source rank
   std::deque<detail::Message> pending_;    ///< drained, not yet matched
 };
+
+/// How a child rank's body ended.
+enum class ExitKind : std::uint8_t {
+  kOk = 0,
+  kError = 1,    ///< body threw (message preserved)
+  kTimeout = 2,  ///< body threw TimeoutError
+  kAbort = 3,    ///< body saw the run abort
+  kKilled = 4,   ///< body threw KilledError (simulated crash, unwound)
+};
+
+/// Everything a child rank ships back to the parent in its exit blob
+/// ("PGVB"): exit kind, error, cost ledger, stash, and its trace events and
+/// metrics as deltas against the state it inherited at fork.
+struct ExitBlob {
+  static constexpr std::uint32_t kMagic = 0x42565047;  // "PGVB"
+  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kNoString = 0xffffffff;
+
+  /// One trace event; string fields index `strings`, or are kNoString.
+  struct Event {
+    std::uint32_t name = kNoString, cat = kNoString;
+    std::uint8_t kind = 0;  ///< obs::TraceEvent::Kind
+    std::uint64_t ts_us = 0, dur_us = 0, cpu_us = 0;
+    std::array<std::uint32_t, 3> arg_name{kNoString, kNoString, kNoString};
+    std::array<std::uint64_t, 3> arg{};
+    std::uint32_t phase = kNoString;
+  };
+  struct Ring {
+    int rank = 0;
+    std::uint64_t dropped = 0;  ///< events the ring dropped since fork
+    std::vector<Event> events;
+  };
+
+  int rank = 0;
+  ExitKind kind = ExitKind::kOk;
+  std::string error;
+  std::uint64_t epoch_ns = 0;  ///< the child's trace epoch
+  RankLedger ledger;
+  StashMap stash;
+  bool traced = false;  ///< the trace section (strings, rings) is present
+  std::vector<std::string> strings;
+  std::vector<Ring> rings;
+  /// Per-instrument deltas: counter_value, gauge_value, or the histogram's
+  /// non-empty bucket deltas plus hist_sum.
+  std::vector<obs::MetricSample> metrics;
+};
+
+std::string encode_exit_blob(const ExitBlob& blob);
+
+/// Pure decoder: nullopt unless `bytes` is exactly one well-formed blob.
+/// Every count is checked against the bytes left before anything is
+/// allocated, so a corrupt blob costs no more memory than its own size.
+std::optional<ExitBlob> decode_exit_blob(std::string_view bytes);
 
 }  // namespace pgasm::vmpi

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "align/overlap.hpp"
 #include "core/parallel_cluster.hpp"
 #include "core/serial_cluster.hpp"
 #include "core/wire.hpp"
@@ -154,16 +155,21 @@ TEST(SerialCluster, MatchesBruteForceOverlapClosure) {
   const auto result = cluster_serial(store, params);
 
   // Reference: enumerate all maximal matches on the doubled store, apply
-  // the same banded anchored accept test to every occurrence, and take the
-  // transitive closure. The greedy skip of already-clustered pairs cannot
-  // change the closure (Section 4).
+  // the banded anchored accept test to every occurrence through the
+  // fresh-buffer reference kernel (independent of the engine's workspace
+  // path), and take the transitive closure. The greedy skip of
+  // already-clustered pairs cannot change the closure (Section 4).
   const auto doubled = seq::make_doubled_store(store);
   const auto matches = test::brute_force_maximal_matches(doubled, params.psi);
   util::UnionFind ref(store.size());
   for (const auto& [qa, pa, qb, pb, len] : matches) {
     const std::uint32_t fa = qa >> 1, fb = qb >> 1;
     if (fa == fb) continue;
-    if (core::pair_overlaps(doubled, qa, pa, qb, pb, params.overlap)) {
+    const auto r = align::banded_overlap_align_reference(
+        doubled.seq(qa), doubled.seq(qb), params.overlap.scoring,
+        static_cast<std::int32_t>(pb) - static_cast<std::int32_t>(pa),
+        params.overlap.band);
+    if (align::accept_overlap(r, params.overlap)) {
       ref.unite(fa, fb);
     }
   }

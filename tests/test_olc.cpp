@@ -5,6 +5,7 @@
 #include <string>
 
 #include "align/overlap.hpp"
+#include "align/workspace.hpp"
 #include "olc/assembler.hpp"
 #include "olc/layout.hpp"
 #include "pipeline/comm_team.hpp"
@@ -207,8 +208,9 @@ TEST(Assembler, PolishFixesIndels) {
     if (c.length() > big->length()) big = &c;
   }
   // Align the consensus to the genome: near-perfect identity expected.
+  align::Workspace ws;
   const auto aln =
-      align::overlap_align(big->consensus, genome, align::Scoring{});
+      align::overlap_align(big->consensus, genome, align::Scoring{}, ws);
   EXPECT_GT(aln.aln.columns, 500u);
   EXPECT_GT(aln.aln.identity(), 0.995);
 }

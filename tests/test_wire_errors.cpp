@@ -2,7 +2,8 @@
 // section 10): truncated/mistagged/corrupt payloads must surface as
 // WireError values (or WireFormatError from the legacy entry points), never
 // as out-of-bounds reads, and the protocol layer must recover from
-// duplicates and drops via the seq/cached-reply mechanism.
+// duplicates and drops via the seq/cached-reply mechanism. The proc
+// transport's exit-blob decoder is held to the same rule.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include "core/cluster_protocol.hpp"
 #include "core/cluster_scheduler.hpp"
 #include "core/wire.hpp"
+#include "vmpi/proc_transport.hpp"
 #include "vmpi/runtime.hpp"
 
 namespace pgasm::core {
@@ -556,3 +558,77 @@ TEST(WireErrors, RecvReportSurfacesCorruptPayloadAsTypedError) {
 
 }  // namespace
 }  // namespace pgasm::core
+
+namespace pgasm::vmpi {
+namespace {
+
+ExitBlob sample_exit_blob() {
+  ExitBlob blob;
+  blob.rank = 2;
+  blob.kind = ExitKind::kError;
+  blob.error = "worker failed";
+  blob.epoch_ns = 123456789;
+  blob.ledger.msgs_sent = 7;
+  blob.ledger.bytes_recv = 4096;
+  blob.ledger.compute_seconds = 0.25;
+  blob.stash[1] = {std::byte{1}, std::byte{2}, std::byte{3}};
+  blob.stash[9] = {};
+  blob.traced = true;
+  blob.strings = {"align", "core", "cluster"};
+  ExitBlob::Event ev;
+  ev.name = 0;
+  ev.cat = 1;
+  ev.kind = 1;
+  ev.ts_us = 50;
+  ev.arg_name[0] = 2;
+  ev.arg[0] = 11;
+  ev.phase = 2;
+  blob.rings.push_back({.rank = 2, .dropped = 1, .events = {ev, ev}});
+  obs::MetricSample counter;
+  counter.key = {.name = "engine.pairs", .rank = 2, .phase = "cluster"};
+  counter.counter_value = 40;
+  obs::MetricSample hist;
+  hist.key = {.name = "engine.batch_us", .rank = 2, .phase = ""};
+  hist.kind = obs::MetricSample::Kind::kHistogram;
+  hist.buckets = {{3, 5}, {7, 1}};
+  hist.hist_sum = 99;
+  blob.metrics = {counter, hist};
+  return blob;
+}
+
+TEST(WireErrors, ExitBlobRoundTripsAndRejectsTruncation) {
+  const std::string bytes = encode_exit_blob(sample_exit_blob());
+  const auto blob = decode_exit_blob(bytes);
+  ASSERT_TRUE(blob.has_value());
+  EXPECT_EQ(blob->rank, 2);
+  EXPECT_EQ(blob->kind, ExitKind::kError);
+  EXPECT_EQ(blob->error, "worker failed");
+  ASSERT_EQ(blob->rings.size(), 1u);
+  EXPECT_EQ(blob->rings[0].events.size(), 2u);
+  ASSERT_EQ(blob->metrics.size(), 2u);
+  EXPECT_EQ(blob->metrics[1].buckets.size(), 2u);
+  EXPECT_EQ(encode_exit_blob(*blob), bytes);
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_FALSE(decode_exit_blob(bytes.substr(0, cut)).has_value()) << cut;
+  }
+  EXPECT_FALSE(decode_exit_blob(bytes + '\0').has_value());
+}
+
+TEST(WireErrors, ExitBlobHugeStringCountRejected) {
+  ExitBlob sample = sample_exit_blob();
+  sample.strings.clear();
+  sample.rings.clear();
+  sample.metrics.clear();
+  std::string bytes = encode_exit_blob(sample);
+  // The string count sits right after the trace flag, ahead of the (empty)
+  // ring count and metric count: overwrite it with 0xffffffff.
+  const std::size_t at = bytes.size() - 4 - 4 - 4;
+  ASSERT_EQ(bytes[at - 1], 1);  // trace flag
+  bytes.replace(at, 4, std::string(4, '\xff'));
+  std::optional<ExitBlob> blob;
+  EXPECT_NO_THROW(blob = decode_exit_blob(bytes));
+  EXPECT_FALSE(blob.has_value());
+}
+
+}  // namespace
+}  // namespace pgasm::vmpi

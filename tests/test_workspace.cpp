@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
-#include "align/linear_space.hpp"
 #include "align/overlap.hpp"
 #include "align/pairwise.hpp"
 #include "align/workspace.hpp"
@@ -90,37 +90,6 @@ TEST(Workspace, DirtyFullOverlapReuseMatchesFreshWorkspace) {
     Workspace fresh;
     const auto want = align::overlap_align(c.a, c.b, sc, fresh, opts);
     expect_same_result(got, want);
-  }
-}
-
-TEST(Workspace, DirtyGlobalReuseMatchesFreshWorkspace) {
-  const Scoring sc;
-  const AlignOptions opts{.keep_ops = true};
-  Workspace reused;
-  util::Prng rng(1234);
-  for (int i = 0; i < 30; ++i) {
-    const auto a = test::random_dna(rng, 1 + rng.below(120));
-    const auto b = test::random_dna(rng, 1 + rng.below(120));
-    const auto got = align::global_align(a, b, sc, reused, opts);
-    const auto want = align::global_align(a, b, sc, opts);
-    EXPECT_EQ(got.score, want.score);
-    EXPECT_EQ(got.ops, want.ops);
-    EXPECT_EQ(got.matches, want.matches);
-    EXPECT_EQ(got.columns, want.columns);
-  }
-}
-
-TEST(Workspace, DirtyHirschbergReuseMatchesFresh) {
-  const Scoring sc;
-  Workspace reused;
-  util::Prng rng(555);
-  for (int i = 0; i < 20; ++i) {
-    const auto a = test::random_dna(rng, 1 + rng.below(150));
-    const auto b = test::random_dna(rng, 1 + rng.below(150));
-    const auto got = align::hirschberg_align(a, b, sc, reused);
-    const auto want = align::hirschberg_align(a, b, sc);
-    EXPECT_EQ(got.score, want.score);
-    EXPECT_EQ(got.ops, want.ops);
   }
 }
 
@@ -218,13 +187,24 @@ TEST(OverlapEngine, MatchesReferenceKernelOnStorePairs) {
 }
 
 TEST(OverlapEngine, StorelessEngineRejectsPairApi) {
-  core::OverlapEngine engine{OverlapParams{}};
-  EXPECT_THROW(engine.details(0, 0, 1, 0), std::logic_error);
-  // full_align still works without a store.
+  // The pair API resolves ids through the doubled store, so an engine is
+  // only built over a store that outlives it: neither without one nor over
+  // a temporary.
+  static_assert(!std::is_constructible_v<core::OverlapEngine, OverlapParams>);
+  static_assert(
+      !std::is_constructible_v<core::OverlapEngine, OverlapParams, int>);
+  static_assert(!std::is_constructible_v<core::OverlapEngine,
+                                         seq::FragmentStore, OverlapParams>);
+  static_assert(std::is_constructible_v<core::OverlapEngine,
+                                        const seq::FragmentStore&,
+                                        OverlapParams>);
   util::Prng rng(3);
-  const auto a = test::random_dna(rng, 40);
-  const auto r = engine.full_align(a, a);
-  EXPECT_EQ(r.aln.matches, a.size());
+  seq::FragmentStore store;
+  store.add(test::random_dna(rng, 40), seq::FragType::kWGS, "f0");
+  const auto doubled = seq::make_doubled_store(store);
+  core::OverlapEngine engine(doubled, OverlapParams{});
+  const auto r = engine.details(0, 0, 0, 0);
+  EXPECT_EQ(r.aln.matches, 40u);
 }
 
 TEST(ValidateParams, RejectsUselessCombinations) {
