@@ -9,7 +9,8 @@
 #                            # full-pipeline fault schedules must converge
 #                            # to bit-identical contigs
 #   scripts/ci.sh tsan       # just the TSan build of the concurrent layers
-#   scripts/ci.sh asan       # just the ASan build of the align + core suites
+#   scripts/ci.sh asan       # just the ASan build of the align, core and
+#                            # byte-codec suites
 #   scripts/ci.sh lint       # pgasm-lint + protocol_check + strict-warnings
 #                            # build (+ clang tools when installed)
 #   scripts/ci.sh determ     # pgasm-determcheck static determinism analysis
@@ -89,15 +90,17 @@ tsan() {
 }
 
 asan() {
-  echo "== ASan: alignment hot path + cluster engine tests =="
+  echo "== ASan: alignment hot path, cluster engine and byte codec tests =="
   # The overlap workspace hands out grow-only dirty buffers and the banded
-  # kernel runs a guard-free inner loop; ASan is the check that every read
-  # and write stays inside the live extents.
+  # kernel runs a guard-free inner loop; the decoders read peer and disk
+  # bytes through util::Cursor. ASan is the check that every read and
+  # write stays inside the live extents.
   cmake -B build-asan -S . -DPGASM_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
-    --target test_align test_workspace test_cluster
+    --target test_align test_workspace test_cluster test_wire_errors \
+    test_parallel_gst
   (cd build-asan && ctest --output-on-failure \
-    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|LinearSpace|Cluster')
+    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|LinearSpace|Cluster|WireErrors|ParallelGst')
 }
 
 lint() {
@@ -206,7 +209,7 @@ fuzz_smoke() {
   cmake -B build-ubsan -S . -DPGASM_SANITIZE=undefined
   cmake --build build-ubsan -j "$JOBS" \
     --target fuzz_wire fuzz_fasta fuzz_fastq fuzz_checkpoint fuzz_manifest \
-    fuzz_assemblies fuzz_exit_blob
+    fuzz_assemblies fuzz_exit_blob fuzz_gst_fetch
   (cd build-ubsan && ctest --output-on-failure -L fuzz)
 }
 

@@ -91,7 +91,7 @@ bool consume_pending_terminate(vmpi::Comm& comm) {
 
 void send_report(vmpi::Comm& comm, const ClusterParams& params,
                  const WorkerReport& report) {
-  auto payload = encode_report_payload(report);
+  auto payload = encode_report(report);
   if (params.use_ssend) {
     comm.ssend_payload(0, to_tag(MsgKind::kReport), std::move(payload));
   } else {
@@ -170,7 +170,7 @@ MasterReply await_reply(vmpi::Comm& comm, const ClusterParams& params,
 
 void ReplyChannel::send(vmpi::Comm& comm, int worker, MasterReply& reply) {
   reply.seq = last_seq_[worker];
-  auto bytes = encode_reply_payload(reply);
+  auto bytes = encode_reply(reply);
   // The cache keeps its own copy — a retransmitted report may need this
   // exact reply again after the payload below has been consumed.
   last_reply_[worker].assign(

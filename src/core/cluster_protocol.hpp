@@ -82,9 +82,9 @@ constexpr const char* msg_kind_name(MsgKind kind) noexcept {
 // in core/wire.hpp, each pair must be claimed by exactly one tag, and a
 // round-trip test exercising both halves must exist under tests/.
 inline constexpr int kTagReport = to_tag(MsgKind::kReport);  // worker -> master
-                                        // pgasm-wire: encode_report/decode_report
+                                        // pgasm-wire: encode_report/try_decode_report
 inline constexpr int kTagReply = to_tag(MsgKind::kReply);  // master -> worker
-                                        // pgasm-wire: encode_reply/decode_reply
+                                        // pgasm-wire: encode_reply/try_decode_reply
 inline constexpr int kTagPing = to_tag(MsgKind::kPing);  // heartbeat
                                         // pgasm-wire: raw-u64
 inline constexpr int kTagAck = to_tag(MsgKind::kAck);  // heartbeat ack
@@ -112,11 +112,11 @@ struct MsgSpec {
 };
 
 inline constexpr MsgSpec kProtocol[] = {
-    {MsgKind::kReport, "report", "worker->master", "encode_report_payload",
+    {MsgKind::kReport, "report", "worker->master", "encode_report",
      "try_decode_report", "recv_report",
      "reply_timeout retransmit in await_reply",
      "ReplyChannel::is_duplicate seq match -> resend_cached"},
-    {MsgKind::kReply, "reply", "master->worker", "encode_reply_payload",
+    {MsgKind::kReply, "reply", "master->worker", "encode_reply",
      "try_decode_reply", "await_reply",
      "duplicate report solicits ReplyChannel::resend_cached",
      "stale seq discarded by await_reply seq filter"},

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdio>
-#include <cstring>
 
 #include <unistd.h>  // fsync — durable rename needs the data on disk first
 
@@ -35,129 +34,37 @@ constexpr std::array<std::uint32_t, 256> make_crc32_table() {
 
 constexpr std::array<std::uint32_t, 256> kCrc32Table = make_crc32_table();
 
-// Codec helpers are generic over the byte container (std::uint8_t for the
-// legacy/test-facing API and checkpoints, std::byte for the zero-copy vmpi
-// payload path) so both front ends share one serializer.
+using util::append_pod;
+using util::append_vec;
+using util::Cursor;
 
-template <typename Byte, typename T>
-void append_pod(std::vector<Byte>& out, const T& v) {
-  const std::size_t base = out.size();
-  out.resize(base + sizeof(T));
-  std::memcpy(out.data() + base, &v, sizeof(T));
+/// Read a file payload's [u32 magic][u32 version] header.
+void expect_header(Cursor& cur, std::uint32_t magic, std::uint32_t version,
+                   const char* what) {
+  std::uint32_t got = 0;
+  if (cur.read(got, what) && got != magic) cur.fail(WireErrc::kBadMagic, what);
+  if (cur.read(got, what) && got != version) {
+    cur.fail(WireErrc::kBadVersion, what);
+  }
 }
 
-template <typename Byte, typename T>
-void append_vec(std::vector<Byte>& out, const std::vector<T>& v) {
-  const std::uint32_t n = static_cast<std::uint32_t>(v.size());
-  const std::size_t base = out.size();
-  out.resize(base + 4 + n * sizeof(T));
-  std::memcpy(out.data() + base, &n, 4);
-  if (n) std::memcpy(out.data() + base + 4, v.data(), n * sizeof(T));
-}
+}  // namespace
 
-// Bounds-checked reader over a received payload. Every read_* either
-// succeeds or records a WireError and makes all subsequent reads no-ops, so
-// decoders are straight-line code with one failure check at the end.
-template <typename Byte>
-class Cursor {
- public:
-  explicit Cursor(std::span<const Byte> in) : in_(in) {}
-
-  bool ok() const noexcept { return !failed_; }
-  const WireError& error() const noexcept { return err_; }
-  std::size_t offset() const noexcept { return off_; }
-
-  bool fail(WireErrc code, const char* detail) noexcept {
-    if (!failed_) {
-      failed_ = true;
-      err_ = WireError{code, off_, detail};
-    }
-    return false;
-  }
-
-  template <typename T>
-  bool read(T& v, const char* what) noexcept {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (failed_) return false;
-    if (sizeof(T) > in_.size() - off_) {
-      return fail(WireErrc::kTruncated, what);
-    }
-    std::memcpy(&v, in_.data() + off_, sizeof(T));
-    off_ += sizeof(T);
-    return true;
-  }
-
-  template <typename T>
-  bool read_vec(std::vector<T>& v, const char* what) {
-    std::uint32_t n = 0;
-    return read(n, what) && read_run(v, n, what);
-  }
-
-  /// Read a run of `n` elements whose count was decoded separately. The
-  /// run is checked against the remaining bytes BEFORE allocating: a
-  /// corrupt count must produce a typed error, not a multi-gigabyte resize.
-  template <typename T>
-  bool read_run(std::vector<T>& v, std::uint64_t n, const char* what) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (!fits(n, sizeof(T), what)) return false;
-    v.resize(static_cast<std::size_t>(n));
-    if (n) std::memcpy(v.data(), in_.data() + off_, v.size() * sizeof(T));
-    off_ += v.size() * sizeof(T);
-    return true;
-  }
-
-  /// Can `count` records of at least `each` bytes still follow? Lets a
-  /// decoder bound a count before it allocates for the records.
-  bool fits(std::uint64_t count, std::uint64_t each, const char* what) {
-    if (failed_) return false;
-    if (count > (in_.size() - off_) / each) {
-      return fail(WireErrc::kTruncated, what);
-    }
-    return true;
-  }
-
-  bool expect_tag(std::uint8_t want, const char* what) noexcept {
-    std::uint8_t got = 0;
-    if (!read(got, what)) return false;
-    if (got != want) {
-      // Report the tag's own offset, not the post-read position.
-      --off_;
-      return fail(WireErrc::kBadTag, what);
-    }
-    return true;
-  }
-
-  bool expect_end(const char* what) noexcept {
-    if (failed_) return false;
-    if (off_ != in_.size()) return fail(WireErrc::kOversized, what);
-    return true;
-  }
-
- private:
-  std::span<const Byte> in_;
-  std::size_t off_ = 0;
-  bool failed_ = false;
-  WireError err_{};
-};
-
-template <typename Byte>
-std::vector<Byte> encode_report_t(const WorkerReport& r) {
-  std::vector<Byte> out;
+std::vector<std::byte> encode_report(const WorkerReport& r) {
+  std::vector<std::byte> out;
   out.reserve(22 + r.results.size() * sizeof(ResultMsg) +
               r.new_pairs.size() * sizeof(PairMsg) +
               r.progress.size() * sizeof(RoleProgress));
-  out.push_back(static_cast<Byte>(kWireKindReport));
-  append_pod(out, r.seq);
+  append_pod(out, kWireKindReport, r.seq);
   append_vec(out, r.results);
   append_vec(out, r.new_pairs);
   append_vec(out, r.progress);
-  out.push_back(static_cast<Byte>(r.exhausted));
+  append_pod(out, r.exhausted);
   return out;
 }
 
-template <typename Byte>
-WireResult<WorkerReport> try_decode_report_t(std::span<const Byte> bytes) {
-  Cursor<Byte> cur(bytes);
+WireResult<WorkerReport> try_decode_report(std::span<const std::byte> bytes) {
+  Cursor cur(bytes);
   WorkerReport r;
   cur.expect_tag(kWireKindReport, "report kind tag");
   cur.read(r.seq, "report seq");
@@ -165,29 +72,23 @@ WireResult<WorkerReport> try_decode_report_t(std::span<const Byte> bytes) {
   cur.read_vec(r.new_pairs, "report new_pairs");
   cur.read_vec(r.progress, "report progress");
   cur.read(r.exhausted, "report exhausted flag");
-  cur.expect_end("report trailing bytes");
-  if (!cur.ok()) return cur.error();
+  if (!cur.expect_end("report trailing bytes")) return cur.error();
   return r;
 }
 
-template <typename Byte>
-std::vector<Byte> encode_reply_t(const MasterReply& r) {
-  std::vector<Byte> out;
+std::vector<std::byte> encode_reply(const MasterReply& r) {
+  std::vector<std::byte> out;
   out.reserve(23 + r.batch.size() * sizeof(PairMsg) +
               r.takeovers.size() * sizeof(TakeoverOrder));
-  out.push_back(static_cast<Byte>(kWireKindReply));
-  append_pod(out, r.seq);
+  append_pod(out, kWireKindReply, r.seq);
   append_vec(out, r.batch);
   append_vec(out, r.takeovers);
-  append_pod(out, r.request_r);
-  out.push_back(static_cast<Byte>(r.terminate));
-  out.push_back(static_cast<Byte>(r.park));
+  append_pod(out, r.request_r, r.terminate, r.park);
   return out;
 }
 
-template <typename Byte>
-WireResult<MasterReply> try_decode_reply_t(std::span<const Byte> bytes) {
-  Cursor<Byte> cur(bytes);
+WireResult<MasterReply> try_decode_reply(std::span<const std::byte> bytes) {
+  Cursor cur(bytes);
   MasterReply r;
   cur.expect_tag(kWireKindReply, "reply kind tag");
   cur.read(r.seq, "reply seq");
@@ -196,127 +97,28 @@ WireResult<MasterReply> try_decode_reply_t(std::span<const Byte> bytes) {
   cur.read(r.request_r, "reply request_r");
   cur.read(r.terminate, "reply terminate flag");
   cur.read(r.park, "reply park flag");
-  cur.expect_end("reply trailing bytes");
-  if (!cur.ok()) return cur.error();
+  if (!cur.expect_end("reply trailing bytes")) return cur.error();
   return r;
-}
-
-}  // namespace
-
-const char* wire_errc_name(WireErrc code) noexcept {
-  switch (code) {
-    case WireErrc::kTruncated: return "truncated";
-    case WireErrc::kOversized: return "oversized";
-    case WireErrc::kBadTag: return "bad_tag";
-    case WireErrc::kBadMagic: return "bad_magic";
-    case WireErrc::kBadVersion: return "bad_version";
-    case WireErrc::kCountMismatch: return "count_mismatch";
-    case WireErrc::kBadValue: return "bad_value";
-    case WireErrc::kBadCrc: return "bad_crc";
-    case WireErrc::kIo: return "io";
-  }
-  return "unknown";
-}
-
-std::string WireError::message() const {
-  std::string out = "wire: ";
-  out += wire_errc_name(code);
-  out += " at offset ";
-  out += std::to_string(offset);
-  if (detail != nullptr && detail[0] != '\0') {
-    out += " (";
-    out += detail;
-    out += ")";
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> encode_report(const WorkerReport& r) {
-  return encode_report_t<std::uint8_t>(r);
-}
-
-WorkerReport decode_report(const std::vector<std::uint8_t>& bytes) {
-  return try_decode_report(std::span<const std::uint8_t>(bytes))
-      .take_or_throw();
-}
-
-std::vector<std::uint8_t> encode_reply(const MasterReply& r) {
-  return encode_reply_t<std::uint8_t>(r);
-}
-
-MasterReply decode_reply(const std::vector<std::uint8_t>& bytes) {
-  return try_decode_reply(std::span<const std::uint8_t>(bytes))
-      .take_or_throw();
-}
-
-std::vector<std::byte> encode_report_payload(const WorkerReport& r) {
-  return encode_report_t<std::byte>(r);
-}
-
-WorkerReport decode_report(std::span<const std::byte> bytes) {
-  return try_decode_report(bytes).take_or_throw();
-}
-
-std::vector<std::byte> encode_reply_payload(const MasterReply& r) {
-  return encode_reply_t<std::byte>(r);
-}
-
-MasterReply decode_reply(std::span<const std::byte> bytes) {
-  return try_decode_reply(bytes).take_or_throw();
-}
-
-WireResult<WorkerReport> try_decode_report(
-    std::span<const std::uint8_t> bytes) {
-  return try_decode_report_t(bytes);
-}
-
-WireResult<WorkerReport> try_decode_report(std::span<const std::byte> bytes) {
-  return try_decode_report_t(bytes);
-}
-
-WireResult<MasterReply> try_decode_reply(std::span<const std::uint8_t> bytes) {
-  return try_decode_reply_t(bytes);
-}
-
-WireResult<MasterReply> try_decode_reply(std::span<const std::byte> bytes) {
-  return try_decode_reply_t(bytes);
 }
 
 std::vector<std::uint8_t> encode_checkpoint(const ClusterCheckpoint& c) {
   std::vector<std::uint8_t> out;
   out.reserve(64 + c.labels.size() * 4 + c.pending.size() * sizeof(PairMsg) +
               c.progress.size() * sizeof(RoleProgress));
-  append_pod(out, kCheckpointMagic);
-  append_pod(out, kCheckpointVersion);
-  append_pod(out, c.epoch);
-  append_pod(out, c.num_ranks);
-  append_pod(out, c.n_fragments);
-  append_pod(out, c.input_hash);
-  append_pod(out, c.params_hash);
+  append_pod(out, kCheckpointMagic, kCheckpointVersion, c.epoch, c.num_ranks,
+             c.n_fragments, c.input_hash, c.params_hash);
   append_vec(out, c.labels);
   append_vec(out, c.pending);
   append_vec(out, c.progress);
-  append_pod(out, c.pairs_generated);
-  append_pod(out, c.pairs_selected);
-  append_pod(out, c.pairs_aligned);
-  append_pod(out, c.pairs_accepted);
-  append_pod(out, c.merges);
-  append_pod(out, c.merges_rejected_inconsistent);
+  append_pod(out, c.pairs_generated, c.pairs_selected, c.pairs_aligned,
+             c.pairs_accepted, c.merges, c.merges_rejected_inconsistent);
   return out;
 }
 
 WireResult<ClusterCheckpoint> try_decode_checkpoint(
     std::span<const std::uint8_t> bytes) {
-  Cursor<std::uint8_t> cur(bytes);
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  if (cur.read(magic, "checkpoint magic") && magic != kCheckpointMagic) {
-    cur.fail(WireErrc::kBadMagic, "checkpoint magic");
-  }
-  if (cur.read(version, "checkpoint version") &&
-      version != kCheckpointVersion) {
-    cur.fail(WireErrc::kBadVersion, "checkpoint version");
-  }
+  Cursor cur(bytes);
+  expect_header(cur, kCheckpointMagic, kCheckpointVersion, "checkpoint header");
   ClusterCheckpoint c;
   cur.read(c.epoch, "checkpoint epoch");
   cur.read(c.num_ranks, "checkpoint num_ranks");
@@ -326,14 +128,10 @@ WireResult<ClusterCheckpoint> try_decode_checkpoint(
   cur.read_vec(c.labels, "checkpoint labels");
   cur.read_vec(c.pending, "checkpoint pending");
   cur.read_vec(c.progress, "checkpoint progress");
-  cur.read(c.pairs_generated, "checkpoint pairs_generated");
-  cur.read(c.pairs_selected, "checkpoint pairs_selected");
-  cur.read(c.pairs_aligned, "checkpoint pairs_aligned");
-  cur.read(c.pairs_accepted, "checkpoint pairs_accepted");
-  cur.read(c.merges, "checkpoint merges");
-  cur.read(c.merges_rejected_inconsistent, "checkpoint merges_rejected");
-  cur.expect_end("checkpoint trailing bytes");
-  if (!cur.ok()) return cur.error();
+  cur.read_each("checkpoint counters", c.pairs_generated, c.pairs_selected,
+                c.pairs_aligned, c.pairs_accepted, c.merges,
+                c.merges_rejected_inconsistent);
+  if (!cur.expect_end("checkpoint trailing bytes")) return cur.error();
   // Semantic validation: restore indexes `first[label]` over n_fragments
   // slots, so a label count or value out of range would corrupt memory long
   // after the decode "succeeded". Reject it here, as a typed error.
@@ -350,11 +148,6 @@ WireResult<ClusterCheckpoint> try_decode_checkpoint(
   return c;
 }
 
-ClusterCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& raw) {
-  return try_decode_checkpoint(std::span<const std::uint8_t>(raw))
-      .take_or_throw();
-}
-
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept {
   std::uint32_t c = 0xFFFFFFFFu;
   for (const std::uint8_t b : bytes) {
@@ -367,9 +160,8 @@ void save_frame_atomic(const std::string& path,
                        std::span<const std::uint8_t> payload) {
   std::vector<std::uint8_t> frame;
   frame.reserve(5 + payload.size());
-  frame.push_back(kFrameVersion);
-  append_pod(frame, crc32(payload));
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  append_pod(frame, kFrameVersion, crc32(payload));
+  util::append_run(frame, payload);
 
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
@@ -403,15 +195,15 @@ WireResult<std::vector<std::uint8_t>> try_load_frame(const std::string& path) {
   if (!read_ok) {
     return WireError{WireErrc::kIo, bytes.size(), "frame read error"};
   }
-  if (bytes.size() < 5) {
-    return WireError{WireErrc::kTruncated, bytes.size(), "frame header"};
-  }
-  if (bytes[0] != kFrameVersion) {
+  Cursor cur(bytes);
+  std::uint8_t version = 0;
+  std::uint32_t want = 0;
+  if (!cur.read_each("frame header", version, want)) return cur.error();
+  if (version != kFrameVersion) {
     return WireError{WireErrc::kBadVersion, 0, "frame version"};
   }
-  std::uint32_t want = 0;
-  std::memcpy(&want, bytes.data() + 1, 4);
-  std::vector<std::uint8_t> payload(bytes.begin() + 5, bytes.end());
+  std::vector<std::uint8_t> payload;
+  cur.read_run(payload, bytes.size() - cur.offset(), "frame payload");
   if (crc32(std::span<const std::uint8_t>(payload)) != want) {
     return WireError{WireErrc::kBadCrc, 5, "frame payload checksum"};
   }
@@ -430,40 +222,25 @@ WireResult<ClusterCheckpoint> try_load_checkpoint(const std::string& path) {
   return try_decode_checkpoint(std::span<const std::uint8_t>(payload));
 }
 
-ClusterCheckpoint load_checkpoint(const std::string& path) {
-  return try_load_checkpoint(path).take_or_throw();
-}
-
 std::vector<std::uint8_t> encode_manifest(const RunManifest& m) {
   std::vector<std::uint8_t> out;
   out.reserve(36 + m.phases.size() * sizeof(PhaseEntry));
-  append_pod(out, kManifestMagic);
-  append_pod(out, kManifestVersion);
-  append_pod(out, m.generation);
-  append_pod(out, m.input_hash);
-  append_pod(out, m.params_hash);
+  append_pod(out, kManifestMagic, kManifestVersion, m.generation,
+             m.input_hash, m.params_hash);
   append_vec(out, m.phases);
   return out;
 }
 
 WireResult<RunManifest> try_decode_manifest(
     std::span<const std::uint8_t> bytes) {
-  Cursor<std::uint8_t> cur(bytes);
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  if (cur.read(magic, "manifest magic") && magic != kManifestMagic) {
-    cur.fail(WireErrc::kBadMagic, "manifest magic");
-  }
-  if (cur.read(version, "manifest version") && version != kManifestVersion) {
-    cur.fail(WireErrc::kBadVersion, "manifest version");
-  }
+  Cursor cur(bytes);
+  expect_header(cur, kManifestMagic, kManifestVersion, "manifest header");
   RunManifest m;
   cur.read(m.generation, "manifest generation");
   cur.read(m.input_hash, "manifest input_hash");
   cur.read(m.params_hash, "manifest params_hash");
   cur.read_vec(m.phases, "manifest phases");
-  cur.expect_end("manifest trailing bytes");
-  if (!cur.ok()) return cur.error();
+  if (!cur.expect_end("manifest trailing bytes")) return cur.error();
   // A phase listed twice would make resume state ambiguous; the supervisor
   // never writes one, so treat it as corruption.
   std::uint64_t seen = 0;
@@ -492,25 +269,20 @@ WireResult<RunManifest> try_load_manifest(const std::string& path) {
 std::vector<std::uint8_t> encode_assemblies(
     const std::vector<ClusterAssembly>& records) {
   std::vector<std::uint8_t> out;
-  out.push_back(kWireKindAssemblies);
-  append_pod(out, static_cast<std::uint32_t>(records.size()));
+  append_pod(out, kWireKindAssemblies,
+             static_cast<std::uint32_t>(records.size()));
   for (const ClusterAssembly& rec : records) {
     const olc::AssemblyResult& ar = rec.result;
-    append_pod(out, rec.cluster);
-    append_pod(out, static_cast<std::uint32_t>(ar.contigs.size()));
-    append_pod(out, ar.stats.overlaps_considered);
-    append_pod(out, ar.stats.overlaps_accepted);
-    append_pod(out, ar.stats.layout_conflicts);
-    append_pod(out, ar.stats.overlaps_aligned);
+    append_pod(out, rec.cluster, static_cast<std::uint32_t>(ar.contigs.size()),
+               ar.stats.overlaps_considered, ar.stats.overlaps_accepted,
+               ar.stats.layout_conflicts, ar.stats.overlaps_aligned);
     for (const olc::Contig& contig : ar.contigs) {
       append_pod(out, static_cast<std::uint64_t>(contig.consensus.size()));
-      out.insert(out.end(), contig.consensus.begin(), contig.consensus.end());
+      util::append_run(out, contig.consensus);
       append_pod(out, static_cast<std::uint32_t>(contig.layout.size()));
       for (const olc::Placement& pl : contig.layout) {
-        append_pod(out, pl.fragment);
-        append_pod(out, static_cast<std::uint8_t>(pl.flip ? 1 : 0));
-        append_pod(out, pl.offset);
-        append_pod(out, pl.length);
+        append_pod(out, pl.fragment, static_cast<std::uint8_t>(pl.flip ? 1 : 0),
+                   pl.offset, pl.length);
       }
     }
   }
@@ -523,7 +295,7 @@ WireResult<std::vector<ClusterAssembly>> try_decode_assemblies(
   constexpr std::uint64_t kMinRecord = 4 + 4 + 4 * 8;
   constexpr std::uint64_t kMinContig = 8 + 4;
   constexpr std::uint64_t kPlacement = 4 + 1 + 8 + 4;
-  Cursor<std::uint8_t> cur(bytes);
+  Cursor cur(bytes);
   std::vector<ClusterAssembly> records;
   std::uint32_t n_records = 0;
   cur.expect_tag(kWireKindAssemblies, "assemblies tag");
@@ -536,10 +308,9 @@ WireResult<std::vector<ClusterAssembly>> try_decode_assemblies(
     std::uint32_t n_contigs = 0;
     cur.read(rec.cluster, "assembly cluster");
     cur.read(n_contigs, "assembly contig count");
-    cur.read(ar.stats.overlaps_considered, "assembly stats");
-    cur.read(ar.stats.overlaps_accepted, "assembly stats");
-    cur.read(ar.stats.layout_conflicts, "assembly stats");
-    cur.read(ar.stats.overlaps_aligned, "assembly stats");
+    cur.read_each("assembly stats", ar.stats.overlaps_considered,
+                  ar.stats.overlaps_accepted, ar.stats.layout_conflicts,
+                  ar.stats.overlaps_aligned);
     if (!cur.fits(n_contigs, kMinContig, "assembly contigs")) break;
     ar.contigs.resize(n_contigs);
     for (olc::Contig& contig : ar.contigs) {
@@ -567,20 +338,15 @@ WireResult<std::vector<ClusterAssembly>> try_decode_assemblies(
     }
     if (!cur.ok()) break;
   }
-  cur.expect_end("assemblies trailing bytes");
-  if (!cur.ok()) return cur.error();
+  if (!cur.expect_end("assemblies trailing bytes")) return cur.error();
   return records;
 }
 
 std::vector<std::uint8_t> encode_gst_checkpoint(const GstCheckpoint& c) {
   std::vector<std::uint8_t> out;
   out.reserve(40 + c.bucket_owner.size() * 4 + c.role_done.size());
-  append_pod(out, kGstCheckpointMagic);
-  append_pod(out, kGstCheckpointVersion);
-  append_pod(out, c.input_hash);
-  append_pod(out, c.params_hash);
-  append_pod(out, c.num_ranks);
-  append_pod(out, c.prefix_w);
+  append_pod(out, kGstCheckpointMagic, kGstCheckpointVersion, c.input_hash,
+             c.params_hash, c.num_ranks, c.prefix_w);
   append_vec(out, c.bucket_owner);
   append_vec(out, c.role_done);
   return out;
@@ -588,17 +354,9 @@ std::vector<std::uint8_t> encode_gst_checkpoint(const GstCheckpoint& c) {
 
 WireResult<GstCheckpoint> try_decode_gst_checkpoint(
     std::span<const std::uint8_t> bytes) {
-  Cursor<std::uint8_t> cur(bytes);
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  if (cur.read(magic, "gst checkpoint magic") &&
-      magic != kGstCheckpointMagic) {
-    cur.fail(WireErrc::kBadMagic, "gst checkpoint magic");
-  }
-  if (cur.read(version, "gst checkpoint version") &&
-      version != kGstCheckpointVersion) {
-    cur.fail(WireErrc::kBadVersion, "gst checkpoint version");
-  }
+  Cursor cur(bytes);
+  expect_header(cur, kGstCheckpointMagic, kGstCheckpointVersion,
+                "gst checkpoint header");
   GstCheckpoint c;
   cur.read(c.input_hash, "gst checkpoint input_hash");
   cur.read(c.params_hash, "gst checkpoint params_hash");
@@ -606,8 +364,7 @@ WireResult<GstCheckpoint> try_decode_gst_checkpoint(
   cur.read(c.prefix_w, "gst checkpoint prefix_w");
   cur.read_vec(c.bucket_owner, "gst checkpoint bucket_owner");
   cur.read_vec(c.role_done, "gst checkpoint role_done");
-  cur.expect_end("gst checkpoint trailing bytes");
-  if (!cur.ok()) return cur.error();
+  if (!cur.expect_end("gst checkpoint trailing bytes")) return cur.error();
   // Resume rebuilds each rank's portion straight from this table; a wrong
   // size or out-of-range owner would index past the bucket array or spawn
   // a role that does not exist.

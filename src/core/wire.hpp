@@ -9,24 +9,23 @@
 // ClusterCheckpoint serializes the master's recoverable state (union-find
 // labels, pending pairs, generator progress) so a killed run can resume.
 //
-// Error discipline (DESIGN.md section 10): every decoder is bounds-checked
-// and total — a truncated, oversized, mistagged, or internally inconsistent
-// payload produces a typed WireError through the try_decode_* entry points,
-// never a read past the buffer and never an assert. The legacy throwing
-// entry points wrap the same decoders and raise WireFormatError (a
-// std::runtime_error) carrying the WireError.
+// Error discipline (DESIGN.md section 10): every message has one encoder
+// and one non-throwing try_decode_* decoder, both built on the shared
+// writer and Cursor of util/byte_codec.hpp. A truncated, oversized,
+// mistagged, or internally inconsistent payload produces a typed WireError,
+// never a read past the buffer and never an assert; a caller that cannot
+// continue unwraps with WireResult::take_or_throw, which raises
+// WireFormatError.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "olc/assembler.hpp"
+#include "util/byte_codec.hpp"
 
 namespace pgasm::core {
 
@@ -92,72 +91,13 @@ struct MasterReply {
   std::uint8_t park = 0;
 };
 
-// --- Typed decode errors ----------------------------------------------------
+// --- Typed decode errors (util/byte_codec.hpp) -----------------------------
 
-enum class WireErrc : std::uint8_t {
-  kTruncated = 1,   ///< payload ends before a field or element run
-  kOversized,       ///< trailing bytes after a complete message
-  kBadTag,          ///< leading message-kind tag is not the expected one
-  kBadMagic,        ///< checkpoint file does not start with "PGCK"
-  kBadVersion,      ///< checkpoint format version not understood
-  kCountMismatch,   ///< declared element count contradicts another field
-  kBadValue,        ///< a decoded field is outside its legal domain
-  kBadCrc,          ///< file frame CRC32 does not match the payload
-  kIo,              ///< file missing/unreadable (try_load_* only)
-};
-
-/// Stable lowercase name for an error code ("truncated", "bad_tag", ...).
-const char* wire_errc_name(WireErrc code) noexcept;
-
-struct WireError {
-  WireErrc code = WireErrc::kTruncated;
-  std::size_t offset = 0;   ///< byte offset at which decoding failed
-  const char* detail = "";  ///< static description of the failed check
-
-  /// "wire: truncated at offset 12 (report results)" — for logs/exceptions.
-  std::string message() const;
-};
-
-/// Thrown by the legacy decode_*/load_checkpoint entry points; carries the
-/// structured error so catch sites can still branch on the code.
-class WireFormatError : public std::runtime_error {
- public:
-  explicit WireFormatError(const WireError& e)
-      : std::runtime_error(e.message()), error_(e) {}
-  const WireError& error() const noexcept { return error_; }
-
- private:
-  WireError error_;
-};
-
-/// Minimal std::expected-style carrier for decode results (the toolchain is
-/// C++20; std::expected arrives in C++23). Holds either the decoded value
-/// or a WireError, never both.
-template <typename T>
-class [[nodiscard]] WireResult {
- public:
-  WireResult(T value) : value_(std::move(value)) {}  // NOLINT(*-explicit-*)
-  WireResult(WireError error) : error_(error) {}     // NOLINT(*-explicit-*)
-
-  explicit operator bool() const noexcept { return value_.has_value(); }
-  bool has_value() const noexcept { return value_.has_value(); }
-
-  T& value() & { return *value_; }
-  const T& value() const& { return *value_; }
-  T&& value() && { return *std::move(value_); }
-
-  const WireError& error() const noexcept { return error_; }
-
-  /// Unwrap, raising WireFormatError when this holds an error.
-  T take_or_throw() && {
-    if (!value_.has_value()) throw WireFormatError(error_);
-    return *std::move(value_);
-  }
-
- private:
-  std::optional<T> value_;
-  WireError error_{};
-};
+using util::wire_errc_name;
+using util::WireErrc;
+using util::WireError;
+using util::WireFormatError;
+using util::WireResult;
 
 // --- Codecs -----------------------------------------------------------------
 //
@@ -169,27 +109,15 @@ class [[nodiscard]] WireResult {
 inline constexpr std::uint8_t kWireKindReport = 0x52;  // 'R'
 inline constexpr std::uint8_t kWireKindReply = 0x59;   // 'Y'
 
-std::vector<std::uint8_t> encode_report(const WorkerReport& r);
-WorkerReport decode_report(const std::vector<std::uint8_t>& bytes);
-
-std::vector<std::uint8_t> encode_reply(const MasterReply& r);
-MasterReply decode_reply(const std::vector<std::uint8_t>& bytes);
-
-// Zero-copy wire path: encode straight into a vmpi payload buffer (one
-// exact-size allocation, POD batches memcpy'd from their spans) so the
-// serialized message can be MOVED into the destination mailbox via
-// Comm::send_payload, and decode straight from the received payload — no
-// intermediate uint8 staging vector on either side.
-std::vector<std::byte> encode_report_payload(const WorkerReport& r);
-WorkerReport decode_report(std::span<const std::byte> bytes);
-std::vector<std::byte> encode_reply_payload(const MasterReply& r);
-MasterReply decode_reply(std::span<const std::byte> bytes);
-
-// Non-throwing decoders: the master/worker protocol layers use these so a
-// corrupt peer payload is counted and dropped instead of killing the rank.
-WireResult<WorkerReport> try_decode_report(std::span<const std::uint8_t> bytes);
+// Encoders write straight into a vmpi payload buffer (one exact-size
+// allocation, POD batches memcpy'd from their spans), so the serialized
+// message is MOVED into the destination mailbox via Comm::send_payload and
+// decoded straight from the received payload: no staging copy on either
+// side. The decoders are total; the master/worker protocol layers count
+// and drop a corrupt peer payload instead of killing the rank.
+std::vector<std::byte> encode_report(const WorkerReport& r);
 WireResult<WorkerReport> try_decode_report(std::span<const std::byte> bytes);
-WireResult<MasterReply> try_decode_reply(std::span<const std::uint8_t> bytes);
+std::vector<std::byte> encode_reply(const MasterReply& r);
 WireResult<MasterReply> try_decode_reply(std::span<const std::byte> bytes);
 
 /// Master-side recoverable state, written periodically during a run.
@@ -221,7 +149,6 @@ struct ClusterCheckpoint {
 };
 
 std::vector<std::uint8_t> encode_checkpoint(const ClusterCheckpoint& c);
-ClusterCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& bytes);
 
 /// Non-throwing checkpoint decode. Beyond framing, validates the semantic
 /// invariants a resume relies on: labels.size() == n_fragments and every
@@ -260,12 +187,10 @@ void save_frame_atomic(const std::string& path,
 WireResult<std::vector<std::uint8_t>> try_load_frame(const std::string& path);
 
 /// Atomic write (CRC frame + temp file + fsync + rename) / read of a
-/// checkpoint on disk. load_checkpoint throws (WireFormatError or
-/// std::runtime_error) if the file is missing or malformed;
-/// try_load_checkpoint reports the same conditions as a WireError (kIo for
-/// filesystem problems, kBadCrc for torn/corrupt files).
+/// checkpoint on disk. try_load_checkpoint reports a missing or malformed
+/// file as a WireError (kIo for filesystem problems, kBadCrc for
+/// torn/corrupt files).
 void save_checkpoint(const std::string& path, const ClusterCheckpoint& c);
-ClusterCheckpoint load_checkpoint(const std::string& path);
 WireResult<ClusterCheckpoint> try_load_checkpoint(const std::string& path);
 
 // --- Run manifest (pipeline recovery supervisor) ----------------------------

@@ -1,7 +1,6 @@
 #include "gst/parallel_build.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -206,6 +205,88 @@ std::vector<std::int32_t> assign_buckets(
   return owner;
 }
 
+std::vector<std::uint8_t> encode_fetch_reply(
+    const seq::FragmentStore& global, std::uint32_t slice_lo,
+    std::uint32_t slice_hi, std::span<const std::uint32_t> ids) {
+  std::size_t bytes = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::uint32_t g = ids[i];
+    if (g < slice_lo || g >= slice_hi || g >= global.size()) {
+      throw util::WireFormatError(
+          util::WireError{util::WireErrc::kBadValue, i * sizeof(g),
+                          "fetch request outside the server's slice"});
+    }
+    bytes += 2 * sizeof(std::uint32_t) + global.length(g);
+  }
+  std::vector<std::uint8_t> out;
+  out.reserve(bytes);
+  for (const std::uint32_t g : ids) {
+    util::append_pod(out, g);
+    util::append_vec(out, global.seq(g));
+  }
+  return out;
+}
+
+util::WireResult<std::vector<std::vector<seq::Code>>> try_decode_fetch_reply(
+    std::span<const std::uint8_t> bytes,
+    std::span<const std::uint32_t> requested) {
+  util::Cursor cur(bytes);
+  std::vector<std::vector<seq::Code>> texts(requested.size());
+  for (std::size_t i = 0; i < requested.size() && cur.ok(); ++i) {
+    std::uint32_t id = 0;
+    if (cur.read(id, "fetch record id") && id != requested[i]) {
+      cur.fail(util::WireErrc::kBadValue, "fetch record not the one requested");
+    }
+    cur.read_vec(texts[i], "fetch record codes");
+    for (const seq::Code c : texts[i]) {
+      if (c > seq::kMask) {
+        cur.fail(util::WireErrc::kBadValue, "fetch code out of range");
+        break;
+      }
+    }
+  }
+  if (!cur.expect_end("fetch trailing bytes")) return cur.error();
+  return texts;
+}
+
+void check_received_suffixes(const seq::FragmentStore& global,
+                             std::span<const Suffix> suffixes,
+                             std::uint32_t min_len) {
+  for (std::size_t i = 0; i < suffixes.size(); ++i) {
+    const Suffix& s = suffixes[i];
+    const char* bad = nullptr;
+    if (s.seq >= global.size()) {
+      bad = "suffix seq outside the store";
+    } else if (s.pos >= global.length(s.seq)) {
+      bad = "suffix pos past its fragment";
+    } else if (s.len < min_len || s.len > global.length(s.seq) - s.pos) {
+      bad = "suffix length outside its fragment";
+    } else if (s.cls >= kNumClasses) {
+      bad = "suffix class out of range";
+    }
+    if (bad != nullptr) {
+      throw util::WireFormatError(util::WireError{
+          util::WireErrc::kBadValue, i * sizeof(Suffix), bad});
+    }
+  }
+}
+
+void check_owner_table(std::span<const std::int32_t> owner,
+                       std::uint32_t nbuckets, int num_ranks) {
+  if (owner.size() != nbuckets) {
+    throw util::WireFormatError(
+        util::WireError{util::WireErrc::kCountMismatch, 0,
+                        "bucket owner table size != 4^prefix_w"});
+  }
+  for (std::size_t b = 0; b < owner.size(); ++b) {
+    if (owner[b] < -1 || owner[b] >= num_ranks) {
+      throw util::WireFormatError(
+          util::WireError{util::WireErrc::kBadValue, b * sizeof(owner[b]),
+                          "bucket owner outside [-1, p)"});
+    }
+  }
+}
+
 DistributedGst build_distributed_gst(vmpi::Comm& comm,
                                      const seq::FragmentStore& global,
                                      const ParallelGstParams& params) {
@@ -301,6 +382,7 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
       v.clear();
       v.shrink_to_fit();
     }
+    check_received_suffixes(global, local_suffixes, params.gst.min_match);
   }
   stats.local_suffixes = local_suffixes.size();
 
@@ -322,7 +404,7 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
   result.local_store.reserve(needed.size(), needed_chars);
 
   // Batched request/serve rounds. Each round: Alltoallv of requested ids,
-  // then Alltoallv of serialized fragment payloads [id, len, codes...].
+  // then Alltoallv of fetch replies (encode_fetch_reply).
   const std::uint64_t batch_chars =
       params.fetch_batch_chars == 0
           ? std::numeric_limits<std::uint64_t>::max()
@@ -361,41 +443,28 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
     const std::uint64_t remaining = needed.size() - cursor;
     const std::uint64_t any_left = comm.allreduce_max<std::uint64_t>(remaining);
 
-    // Request round.
+    // Request round, then serve round: each owner answers every peer's
+    // ids in that peer's request order, and each requester checks the
+    // reply against its own request list before trusting a byte of it.
     auto requests = comm.staged_alltoallv(req);
-    // Serve round: serialize [id u32][len u32][codes ...] per fragment.
     std::vector<std::vector<std::uint8_t>> serve(static_cast<std::size_t>(p));
     {
       auto scope = comm.compute_scope();
       for (int d = 0; d < p; ++d) {
-        for (std::uint32_t g : requests[d]) {
-          const auto s = global.seq(g);
-          const std::uint32_t len = static_cast<std::uint32_t>(s.size());
-          auto& buf = serve[d];
-          const std::size_t base = buf.size();
-          buf.resize(base + 8 + s.size());
-          std::memcpy(buf.data() + base, &g, 4);
-          std::memcpy(buf.data() + base + 4, &len, 4);
-          if (!s.empty())
-            std::memcpy(buf.data() + base + 8, s.data(), s.size());
-        }
+        serve[d] = encode_fetch_reply(global, slice[rank], slice[rank + 1],
+                                      requests[d]);
       }
     }
     auto payloads = comm.staged_alltoallv(serve);
     {
       auto scope = comm.compute_scope();
-      for (const auto& buf : payloads) {
-        std::size_t off = 0;
-        while (off < buf.size()) {
-          std::uint32_t g, len;
-          std::memcpy(&g, buf.data() + off, 4);
-          std::memcpy(&len, buf.data() + off + 4, 4);
-          auto& dst = fetched[local_index_of(g)];
-          dst.resize(len);
-          if (len != 0) std::memcpy(dst.data(), buf.data() + off + 8, len);
-          off += 8 + len;
-          ++stats.fetched_fragments;
+      for (int src = 0; src < p; ++src) {
+        auto texts =
+            try_decode_fetch_reply(payloads[src], req[src]).take_or_throw();
+        for (std::size_t i = 0; i < texts.size(); ++i) {
+          fetched[local_index_of(req[src][i])] = std::move(texts[i]);
         }
+        stats.fetched_fragments += texts.size();
       }
     }
     ++stats.fetch_rounds;
@@ -600,8 +669,7 @@ DistributedGst build_distributed_gst_ft(vmpi::Comm& comm,
     }
     if (!got)
       throw vmpi::TimeoutError("ft gst: no bucket plan from coordinator");
-    if (plan.size() != nbuckets)
-      throw std::runtime_error("ft gst: bucket plan size mismatch");
+    check_owner_table(plan, nbuckets, p);
     result.bucket_owner = plan;
   }
 
@@ -653,14 +721,18 @@ DistributedGst build_distributed_gst_ft(vmpi::Comm& comm,
     local_suffixes.insert(local_suffixes.end(), part.begin(), part.end());
   }
   outgoing.clear();
+  {
+    auto scope = comm.compute_scope();
+    check_received_suffixes(global, local_suffixes, params.gst.min_match);
+  }
   stats.local_suffixes = local_suffixes.size();
   redist_span.finish();
 
   // ---- Steps 4+5: materialize fragments locally, group, build. ----------
   // The fault-tolerant path reads fragment text straight from the global
-  // store (in-process it is shared memory); the batched fetch protocol
-  // would otherwise need its own recovery story for no correctness gain.
-  // The multi-process vmpi backend will need a fetch-with-timeout here.
+  // store, which every rank holds whole (the proc transport's children
+  // inherit it at fork); the batched fetch protocol would otherwise need
+  // its own recovery story for no correctness gain.
   {
     obs::Span sp = obs::span(rank, "ft_build_subtrees", "gst");
     auto scope = comm.compute_scope();
@@ -799,8 +871,7 @@ DistributedGst build_distributed_gst_ft(vmpi::Comm& comm,
     // bucket unowned (lost pairs). Abort and let the supervisor retry.
     if (!got)
       throw vmpi::TimeoutError("ft gst: no final owner table");
-    if (final_table.size() != nbuckets)
-      throw std::runtime_error("ft gst: final owner table size mismatch");
+    check_owner_table(final_table, nbuckets, p);
     comm.send_value<int>(0, kTagFtFinalAck, rank);
   }
 

@@ -23,10 +23,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gst/suffix_tree.hpp"
 #include "seq/fragment_store.hpp"
+#include "util/byte_codec.hpp"
 #include "vmpi/runtime.hpp"
 
 namespace pgasm::gst {
@@ -122,6 +124,46 @@ std::vector<std::uint32_t> partition_store(const seq::FragmentStore& store,
 /// longest-processing-time). Exposed for tests.
 std::vector<std::int32_t> assign_buckets(
     const std::vector<std::uint64_t>& global_histogram, int num_ranks);
+
+// --- Fragment fetch codec (step 4) ------------------------------------------
+//
+// One owner's reply to one peer's request list for a fetch round: for each
+// requested id, in request order, [u32 id][u32 count][count codes]. The id
+// is echoed so the receiver can check the reply answers exactly what it
+// asked for.
+
+/// Serve side. Throws util::WireFormatError (kBadValue) for an id outside
+/// the server's slice [slice_lo, slice_hi): only a fragment's owner serves
+/// it, and an id past the store would read out of bounds.
+std::vector<std::uint8_t> encode_fetch_reply(
+    const seq::FragmentStore& global, std::uint32_t slice_lo,
+    std::uint32_t slice_hi, std::span<const std::uint32_t> ids);
+
+/// Receive side: the codes of each fragment of `requested` (this rank's
+/// request list to that owner for the round), in request order. Rejects
+/// truncation, a count that runs past the end, an id other than the one
+/// requested at that position, a code above seq::kMask, and trailing
+/// bytes.
+util::WireResult<std::vector<std::vector<seq::Code>>> try_decode_fetch_reply(
+    std::span<const std::uint8_t> bytes,
+    std::span<const std::uint32_t> requested);
+
+// --- Checks on peer-supplied construction state -----------------------------
+
+/// Throw util::WireFormatError (kBadValue) unless every suffix record names
+/// a real position of `global` that enumeration with `min_len` could have
+/// produced: seq < global.size(), pos < length, min_len <= len <= length -
+/// pos, cls < kNumClasses. A redistributed record feeds the owner lookup,
+/// the fragment fetch and the tree build, which all index with it.
+void check_received_suffixes(const seq::FragmentStore& global,
+                             std::span<const Suffix> suffixes,
+                             std::uint32_t min_len);
+
+/// Throw util::WireFormatError unless `owner` has `nbuckets` entries
+/// (kCountMismatch), each in [-1, num_ranks) (kBadValue). Guards a bucket
+/// plan or final owner table received from the coordinator.
+void check_owner_table(std::span<const std::int32_t> owner,
+                       std::uint32_t nbuckets, int num_ranks);
 
 /// SPMD entry point: every rank calls this with the same global store.
 /// Ranks read only their own slice of `global`; everything else arrives

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
-#include <stdexcept>
-#include <type_traits>
 #include <unordered_map>
 
 #include "align/workspace.hpp"
 #include "gst/pair_generator.hpp"
 #include "gst/suffix_tree.hpp"
 #include "obs/trace.hpp"
+#include "util/byte_codec.hpp"
 #include "util/stats.hpp"
 
 namespace pgasm::olc {
@@ -46,22 +44,23 @@ struct KeyHash {
   }
 };
 
-// POD vectors cross the team as raw bytes; members run the same binary.
+// POD vectors cross the team as uncounted runs; members run the same
+// binary. A payload that is not a whole number of records is rejected.
 template <typename T>
 std::vector<std::uint8_t> to_bytes(const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::vector<std::uint8_t> out(v.size() * sizeof(T));
-  if (!out.empty()) std::memcpy(out.data(), v.data(), out.size());
+  std::vector<std::uint8_t> out;
+  util::append_run(out, v);
   return out;
 }
 
 template <typename T>
 std::vector<T> from_bytes(const std::vector<std::uint8_t>& bytes) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (bytes.size() % sizeof(T) != 0)
-    throw std::runtime_error("olc team: payload is not a whole record count");
-  std::vector<T> v(bytes.size() / sizeof(T));
-  if (!v.empty()) std::memcpy(v.data(), bytes.data(), bytes.size());
+  util::Cursor cur(bytes);
+  std::vector<T> v;
+  cur.read_run(v, bytes.size() / sizeof(T), "olc team records");
+  if (!cur.expect_end("olc team partial record")) {
+    throw util::WireFormatError(cur.error());
+  }
   return v;
 }
 

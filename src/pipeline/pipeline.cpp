@@ -483,7 +483,8 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
         if (me != 0) {
           const auto outbox = core::encode_assemblies(shipped);
           // pgasm-lint: allow(raw-comm): assembly-result gather is a one-shot
-          // all-to-root ship with its own framing, not clustering traffic.
+          // all-to-root ship framed by encode_assemblies, not clustering
+          // traffic.
           comm.send(0, 7, outbox.data(), outbox.size());
         } else {
           for (int src = 1; src < comm.size(); ++src) {

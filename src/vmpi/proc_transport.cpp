@@ -19,6 +19,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/byte_codec.hpp"
 #include "util/log.hpp"
 #include "vmpi/ring_core.hpp"
 #include "vmpi/runtime.hpp"
@@ -349,22 +350,9 @@ void ProcTransport::crash_self(int self, const std::string& why) {
 
 namespace {
 
-void put_u8(std::string& b, std::uint8_t v) {
-  b.push_back(static_cast<char>(v));
-}
-void put_u32(std::string& b, std::uint32_t v) {
-  b.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void put_u64(std::string& b, std::uint64_t v) {
-  b.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void put_f64(std::string& b, double v) {
-  b.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void put_str(std::string& b, std::string_view s) {
-  put_u32(b, static_cast<std::uint32_t>(s.size()));
-  b.append(s.data(), s.size());
-}
+using util::append_pod;
+using util::append_run;
+using util::append_vec;
 
 // Smallest encoding of each counted record, for the count-vs-bytes check.
 constexpr std::size_t kStashEntryBytes = 4 + 8;
@@ -374,126 +362,59 @@ constexpr std::size_t kEventBytes = 6 * 4 + 1 + 6 * 8;
 constexpr std::size_t kMetricBytes = 1 + 4 + 4 + 4 + 8;
 constexpr std::size_t kBucketBytes = 4 + 8;
 
-/// Bounds-checked reader over a blob's bytes. Any overrun latches ok=false
-/// and zero-fills, so the decoder can read a record and check ok once.
-struct BlobReader {
-  std::string_view b;
-  std::size_t off = 0;
-  bool ok = true;
-
-  bool take(void* out, std::size_t n) {
-    if (n == 0) return ok;  // out may be null (an empty stash entry)
-    if (!ok || b.size() - off < n) {
-      ok = false;
-      std::memset(out, 0, n);
-      return false;
-    }
-    std::memcpy(out, b.data() + off, n);
-    off += n;
-    return true;
-  }
-  /// Could `count` records of at least `min_bytes` each still follow?
-  /// Checked before anything sized by `count` is allocated.
-  bool fits(std::uint64_t count, std::size_t min_bytes) {
-    ok = ok && count <= (b.size() - off) / min_bytes;
-    return ok;
-  }
-  std::uint8_t u8() {
-    std::uint8_t v;
-    take(&v, sizeof(v));
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v;
-    take(&v, sizeof(v));
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v;
-    take(&v, sizeof(v));
-    return v;
-  }
-  double f64() {
-    double v;
-    take(&v, sizeof(v));
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!fits(n, 1)) return {};
-    std::string s(b.data() + off, n);
-    off += n;
-    return s;
-  }
-};
-
 }  // namespace
 
 std::string encode_exit_blob(const ExitBlob& blob) {
   std::string b;
-  put_u32(b, ExitBlob::kMagic);
-  put_u32(b, ExitBlob::kVersion);
-  put_u32(b, static_cast<std::uint32_t>(blob.rank));
-  put_u8(b, static_cast<std::uint8_t>(blob.kind));
-  put_str(b, blob.error);
-  put_u64(b, blob.epoch_ns);
+  append_pod(b, ExitBlob::kMagic, ExitBlob::kVersion,
+             static_cast<std::uint32_t>(blob.rank),
+             static_cast<std::uint8_t>(blob.kind));
+  append_vec(b, blob.error);
   const RankLedger& l = blob.ledger;
-  put_u64(b, l.msgs_sent);
-  put_u64(b, l.bytes_sent);
-  put_u64(b, l.msgs_recv);
-  put_u64(b, l.bytes_recv);
-  put_f64(b, l.compute_seconds);
-  put_f64(b, l.comm_seconds);
-  put_u32(b, static_cast<std::uint32_t>(blob.stash.size()));
+  append_pod(b, blob.epoch_ns, l.msgs_sent, l.bytes_sent, l.msgs_recv,
+             l.bytes_recv, l.compute_seconds, l.comm_seconds,
+             static_cast<std::uint32_t>(blob.stash.size()));
   for (const auto& [key, bytes] : blob.stash) {
-    put_u32(b, key);
-    put_u64(b, bytes.size());
-    b.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+    append_pod(b, key, static_cast<std::uint64_t>(bytes.size()));
+    append_run(b, bytes);
   }
-  put_u8(b, blob.traced ? 1 : 0);
+  append_pod(b, static_cast<std::uint8_t>(blob.traced ? 1 : 0));
   if (blob.traced) {
-    put_u32(b, static_cast<std::uint32_t>(blob.strings.size()));
-    for (const auto& str : blob.strings) put_str(b, str);
-    put_u32(b, static_cast<std::uint32_t>(blob.rings.size()));
+    append_pod(b, static_cast<std::uint32_t>(blob.strings.size()));
+    for (const auto& str : blob.strings) append_vec(b, str);
+    append_pod(b, static_cast<std::uint32_t>(blob.rings.size()));
     for (const ExitBlob::Ring& ring : blob.rings) {
-      put_u32(b, static_cast<std::uint32_t>(ring.rank));
-      put_u64(b, ring.dropped);
-      put_u64(b, ring.events.size());
+      append_pod(b, static_cast<std::uint32_t>(ring.rank), ring.dropped,
+                 static_cast<std::uint64_t>(ring.events.size()));
       for (const ExitBlob::Event& ev : ring.events) {
-        put_u32(b, ev.name);
-        put_u32(b, ev.cat);
-        put_u8(b, ev.kind);
-        put_u64(b, ev.ts_us);
-        put_u64(b, ev.dur_us);
-        put_u64(b, ev.cpu_us);
+        append_pod(b, ev.name, ev.cat, ev.kind, ev.ts_us, ev.dur_us,
+                   ev.cpu_us);
         for (std::size_t k = 0; k < 3; ++k) {
-          put_u32(b, ev.arg_name[k]);
-          put_u64(b, ev.arg[k]);
+          append_pod(b, ev.arg_name[k], ev.arg[k]);
         }
-        put_u32(b, ev.phase);
+        append_pod(b, ev.phase);
       }
     }
   }
-  put_u32(b, static_cast<std::uint32_t>(blob.metrics.size()));
+  append_pod(b, static_cast<std::uint32_t>(blob.metrics.size()));
   for (const obs::MetricSample& m : blob.metrics) {
-    put_u8(b, static_cast<std::uint8_t>(m.kind));
-    put_str(b, m.key.name);
-    put_u32(b, static_cast<std::uint32_t>(m.key.rank));
-    put_str(b, m.key.phase);
+    append_pod(b, static_cast<std::uint8_t>(m.kind));
+    append_vec(b, m.key.name);
+    append_pod(b, static_cast<std::uint32_t>(m.key.rank));
+    append_vec(b, m.key.phase);
     switch (m.kind) {
       case obs::MetricSample::Kind::kCounter:
-        put_u64(b, m.counter_value);
+        append_pod(b, m.counter_value);
         break;
       case obs::MetricSample::Kind::kGauge:
-        put_f64(b, m.gauge_value);
+        append_pod(b, m.gauge_value);
         break;
       case obs::MetricSample::Kind::kHistogram:
-        put_u32(b, static_cast<std::uint32_t>(m.buckets.size()));
+        append_pod(b, static_cast<std::uint32_t>(m.buckets.size()));
         for (const auto& [bucket, n] : m.buckets) {
-          put_u32(b, static_cast<std::uint32_t>(bucket));
-          put_u64(b, n);
+          append_pod(b, static_cast<std::uint32_t>(bucket), n);
         }
-        put_u64(b, m.hist_sum);
+        append_pod(b, m.hist_sum);
         break;
     }
   }
@@ -501,115 +422,110 @@ std::string encode_exit_blob(const ExitBlob& blob) {
 }
 
 std::optional<ExitBlob> decode_exit_blob(std::string_view bytes) {
-  BlobReader r{bytes};
+  util::Cursor cur(bytes);
   ExitBlob blob;
-  if (r.u32() != ExitBlob::kMagic || r.u32() != ExitBlob::kVersion) {
+  std::uint32_t magic = 0;
+  std::uint32_t version = 0;
+  std::uint8_t kind = 0;
+  cur.read_each("exit blob header", magic, version, blob.rank, kind);
+  if (!cur.ok() || magic != ExitBlob::kMagic ||
+      version != ExitBlob::kVersion ||
+      kind > static_cast<std::uint8_t>(ExitKind::kKilled)) {
     return std::nullopt;
   }
-  blob.rank = static_cast<int>(r.u32());
-  const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(ExitKind::kKilled)) return std::nullopt;
   blob.kind = static_cast<ExitKind>(kind);
-  blob.error = r.str();
-  blob.epoch_ns = r.u64();
+  cur.read_vec(blob.error, "exit error");
   RankLedger& l = blob.ledger;
-  l.msgs_sent = r.u64();
-  l.bytes_sent = r.u64();
-  l.msgs_recv = r.u64();
-  l.bytes_recv = r.u64();
-  l.compute_seconds = r.f64();
-  l.comm_seconds = r.f64();
-
-  const std::uint32_t stash_count = r.u32();
-  if (!r.fits(stash_count, kStashEntryBytes)) return std::nullopt;
-  for (std::uint32_t i = 0; r.ok && i < stash_count; ++i) {
-    const std::uint32_t key = r.u32();
-    const std::uint64_t len = r.u64();
+  std::uint32_t stash_count = 0;
+  cur.read_each("ledger", blob.epoch_ns, l.msgs_sent, l.bytes_sent,
+                l.msgs_recv, l.bytes_recv, l.compute_seconds, l.comm_seconds,
+                stash_count);
+  if (!cur.fits(stash_count, kStashEntryBytes, "stash")) return std::nullopt;
+  for (std::uint32_t i = 0; i < stash_count; ++i) {
+    std::uint32_t key = 0;
+    std::uint64_t len = 0;
+    cur.read_each("stash entry", key, len);
     // Keys are written ascending; anything else would not re-encode.
-    if (!r.fits(len, 1) ||
-        (!blob.stash.empty() && key <= blob.stash.rbegin()->first)) {
+    if (!cur.ok() ||
+        (!blob.stash.empty() && key <= blob.stash.rbegin()->first) ||
+        !cur.read_run(blob.stash[key], len, "stash bytes")) {
       return std::nullopt;
     }
-    auto& slot = blob.stash[key];
-    slot.resize(static_cast<std::size_t>(len));
-    r.take(slot.data(), slot.size());
   }
 
-  const std::uint8_t traced = r.u8();
-  if (traced > 1) return std::nullopt;
+  std::uint8_t traced = 0;
+  cur.read(traced, "traced flag");
+  if (!cur.ok() || traced > 1) return std::nullopt;
   blob.traced = traced == 1;
   if (blob.traced) {
-    const std::uint32_t nstrings = r.u32();
-    if (!r.fits(nstrings, kStringBytes)) return std::nullopt;
-    blob.strings.reserve(nstrings);
-    for (std::uint32_t i = 0; r.ok && i < nstrings; ++i) {
-      blob.strings.push_back(r.str());
-    }
+    std::uint32_t nstrings = 0;
+    cur.read(nstrings, "string count");
+    if (!cur.fits(nstrings, kStringBytes, "strings")) return std::nullopt;
+    blob.strings.resize(nstrings);
+    for (std::string& str : blob.strings) cur.read_vec(str, "string");
     const auto indexes = [&blob](std::uint32_t idx) {
       return idx == ExitBlob::kNoString || idx < blob.strings.size();
     };
-    const std::uint32_t nrings = r.u32();
-    if (!r.fits(nrings, kRingBytes)) return std::nullopt;
+    std::uint32_t nrings = 0;
+    cur.read(nrings, "ring count");
+    if (!cur.fits(nrings, kRingBytes, "rings")) return std::nullopt;
     blob.rings.resize(nrings);
     for (ExitBlob::Ring& ring : blob.rings) {
-      ring.rank = static_cast<int>(r.u32());
-      ring.dropped = r.u64();
-      const std::uint64_t nevents = r.u64();
-      if (!r.fits(nevents, kEventBytes)) return std::nullopt;
+      std::uint64_t nevents = 0;
+      cur.read_each("ring", ring.rank, ring.dropped, nevents);
+      if (!cur.fits(nevents, kEventBytes, "events")) return std::nullopt;
       ring.events.resize(static_cast<std::size_t>(nevents));
       for (ExitBlob::Event& ev : ring.events) {
-        ev.name = r.u32();
-        ev.cat = r.u32();
-        ev.kind = r.u8();
-        ev.ts_us = r.u64();
-        ev.dur_us = r.u64();
-        ev.cpu_us = r.u64();
+        cur.read_each("event", ev.name, ev.cat, ev.kind, ev.ts_us, ev.dur_us,
+                      ev.cpu_us);
         for (std::size_t k = 0; k < 3; ++k) {
-          ev.arg_name[k] = r.u32();
-          ev.arg[k] = r.u64();
+          cur.read_each("event", ev.arg_name[k], ev.arg[k]);
         }
-        ev.phase = r.u32();
-        if (!r.ok || ev.kind > 1 || !indexes(ev.name) || !indexes(ev.cat) ||
-            !indexes(ev.arg_name[0]) || !indexes(ev.arg_name[1]) ||
-            !indexes(ev.arg_name[2]) || !indexes(ev.phase)) {
+        cur.read(ev.phase, "event");
+        if (!cur.ok() || ev.kind > 1 || !indexes(ev.name) ||
+            !indexes(ev.cat) || !indexes(ev.arg_name[0]) ||
+            !indexes(ev.arg_name[1]) || !indexes(ev.arg_name[2]) ||
+            !indexes(ev.phase)) {
           return std::nullopt;
         }
       }
     }
   }
 
-  const std::uint32_t nmetrics = r.u32();
-  if (!r.fits(nmetrics, kMetricBytes)) return std::nullopt;
+  std::uint32_t nmetrics = 0;
+  cur.read(nmetrics, "metric count");
+  if (!cur.fits(nmetrics, kMetricBytes, "metrics")) return std::nullopt;
   blob.metrics.resize(nmetrics);
   for (obs::MetricSample& m : blob.metrics) {
-    const std::uint8_t mkind = r.u8();
-    m.key.name = r.str();
-    m.key.rank = static_cast<int>(r.u32());
-    m.key.phase = r.str();
+    std::uint8_t mkind = 0;
+    cur.read(mkind, "metric kind");
+    cur.read_vec(m.key.name, "metric name");
+    cur.read(m.key.rank, "metric rank");
+    cur.read_vec(m.key.phase, "metric phase");
     if (mkind == 0) {
       m.kind = obs::MetricSample::Kind::kCounter;
-      m.counter_value = r.u64();
+      cur.read(m.counter_value, "counter value");
     } else if (mkind == 1) {
       m.kind = obs::MetricSample::Kind::kGauge;
-      m.gauge_value = r.f64();
+      cur.read(m.gauge_value, "gauge value");
     } else if (mkind == 2) {
       m.kind = obs::MetricSample::Kind::kHistogram;
-      const std::uint32_t nbuckets = r.u32();
-      if (!r.fits(nbuckets, kBucketBytes)) return std::nullopt;
+      std::uint32_t nbuckets = 0;
+      cur.read(nbuckets, "bucket count");
+      if (!cur.fits(nbuckets, kBucketBytes, "buckets")) return std::nullopt;
       m.buckets.resize(nbuckets);
       for (auto& [bucket, n] : m.buckets) {
-        bucket = static_cast<int>(r.u32());
-        n = r.u64();
+        cur.read_each("bucket", bucket, n);
         if (bucket < 0 || bucket >= obs::Histogram::kNumBuckets) {
           return std::nullopt;
         }
       }
-      m.hist_sum = r.u64();
+      cur.read(m.hist_sum, "histogram sum");
     } else {
       return std::nullopt;  // unknown record: reject rather than misread
     }
   }
-  if (!r.ok || r.off != bytes.size()) return std::nullopt;
+  if (!cur.expect_end("exit blob trailing bytes")) return std::nullopt;
   return blob;
 }
 

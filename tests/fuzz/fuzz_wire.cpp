@@ -35,7 +35,7 @@ void check(bool ok, const char* what) {
   }
 }
 
-void fuzz_report(std::span<const std::uint8_t> payload) {
+void fuzz_report(std::span<const std::byte> payload) {
   auto decoded = pgasm::core::try_decode_report(payload);
   if (!decoded) return;
   const auto re = pgasm::core::encode_report(decoded.value());
@@ -44,7 +44,7 @@ void fuzz_report(std::span<const std::uint8_t> payload) {
         "report decode/encode round-trip is not the identity");
 }
 
-void fuzz_reply(std::span<const std::uint8_t> payload) {
+void fuzz_reply(std::span<const std::byte> payload) {
   auto decoded = pgasm::core::try_decode_reply(payload);
   if (!decoded) return;
   const auto re = pgasm::core::encode_reply(decoded.value());
@@ -99,12 +99,11 @@ ClusterCheckpoint sample_checkpoint() {
 
 std::vector<std::vector<std::uint8_t>> pgasm_fuzz_seeds() {
   std::vector<std::vector<std::uint8_t>> seeds;
-  auto tagged = [&seeds](std::uint8_t route,
-                         const std::vector<std::uint8_t>& payload) {
+  auto tagged = [&seeds](std::uint8_t route, const auto& payload) {
     std::vector<std::uint8_t> s;
     s.reserve(payload.size() + 1);
     s.push_back(route);
-    s.insert(s.end(), payload.begin(), payload.end());
+    for (const auto b : payload) s.push_back(static_cast<std::uint8_t>(b));
     seeds.push_back(std::move(s));
   };
   tagged(0, pgasm::core::encode_report(sample_report()));
@@ -121,8 +120,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (size == 0) return 0;
   const std::span<const std::uint8_t> payload(data + 1, size - 1);
   switch (data[0] % 3) {
-    case 0: fuzz_report(payload); break;
-    case 1: fuzz_reply(payload); break;
+    case 0: fuzz_report(std::as_bytes(payload)); break;
+    case 1: fuzz_reply(std::as_bytes(payload)); break;
     case 2: fuzz_checkpoint(payload); break;
   }
   return 0;

@@ -297,7 +297,8 @@ TEST(Checkpoint, EncodeDecodeRoundTrip) {
   c.pairs_generated = 1000;
   c.pairs_aligned = 400;
   c.merges = 7;
-  const auto back = core::decode_checkpoint(core::encode_checkpoint(c));
+  const auto back =
+      core::try_decode_checkpoint(core::encode_checkpoint(c)).take_or_throw();
   EXPECT_EQ(back.epoch, 9u);
   EXPECT_EQ(back.num_ranks, 4u);
   EXPECT_EQ(back.input_hash, 0x1122334455667788ULL);
@@ -319,10 +320,12 @@ TEST(Checkpoint, RejectsCorrupted) {
   c.labels = {0, 1};
   auto bytes = core::encode_checkpoint(c);
   bytes[0] ^= 0xFF;  // break the magic
-  EXPECT_THROW(core::decode_checkpoint(bytes), std::runtime_error);
+  EXPECT_THROW(core::try_decode_checkpoint(bytes).take_or_throw(),
+               std::runtime_error);
   bytes = core::encode_checkpoint(c);
   bytes.resize(bytes.size() - 4);
-  EXPECT_THROW(core::decode_checkpoint(bytes), std::runtime_error);
+  EXPECT_THROW(core::try_decode_checkpoint(bytes).take_or_throw(),
+               std::runtime_error);
 }
 
 TEST(Checkpoint, SaveLoadRoundTrip) {
@@ -334,11 +337,12 @@ TEST(Checkpoint, SaveLoadRoundTrip) {
   c.labels = {0, 0};
   c.pending = {{1, 2, 3, 4, 5}};
   core::save_checkpoint(path, c);
-  const auto back = core::load_checkpoint(path);
+  const auto back = core::try_load_checkpoint(path).take_or_throw();
   EXPECT_EQ(back.epoch, 3u);
   ASSERT_EQ(back.pending.size(), 1u);
   std::remove(path.c_str());
-  EXPECT_THROW(core::load_checkpoint(path), std::runtime_error);
+  EXPECT_THROW(core::try_load_checkpoint(path).take_or_throw(),
+               std::runtime_error);
 }
 
 TEST(Checkpoint, HashesTrackInputAndParams) {
@@ -543,7 +547,8 @@ TEST(FaultCluster, MasterCrashThenCheckpointResumeCompletes) {
                }),
                std::runtime_error);
 
-  const auto ckpt = core::load_checkpoint(params.checkpoint_path);
+  const auto ckpt =
+      core::try_load_checkpoint(params.checkpoint_path).take_or_throw();
   EXPECT_GE(ckpt.epoch, 1u);
   EXPECT_EQ(ckpt.n_fragments, store.size());
   EXPECT_GT(ckpt.merges + ckpt.pending.size() + ckpt.pairs_aligned, 0u);

@@ -3,8 +3,10 @@
 // serial pair stream.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <mutex>
 #include <set>
+#include <string>
 
 #include "gst/pair_generator.hpp"
 #include "gst/parallel_build.hpp"
@@ -15,6 +17,9 @@ namespace pgasm {
 namespace {
 
 using gst::GstParams;
+using gst::Suffix;
+using util::WireErrc;
+using util::WireFormatError;
 using gst::PairGenerator;
 using gst::ParallelGstParams;
 using gst::PromisingPair;
@@ -136,6 +141,222 @@ TEST_P(ParallelGstRanks, StatsArePopulated) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, ParallelGstRanks,
                          ::testing::Values(1, 2, 3, 5, 8));
+
+// The same multi-round fetch with every rank but rank 0 in its own
+// process, so the fetch payloads cross a real process boundary. Each rank
+// ships its pairs back through the stash.
+TEST(ParallelGst, MultiRoundFetchAcrossProcessesEqualsSerial) {
+  const int p = 3;
+  util::Prng rng(911);
+  const auto store = test::random_store(rng, 40, 40, 120, 0.02);
+  const std::uint32_t psi = 8, w = 3;
+  SuffixTree serial(store, GstParams{.min_match = psi, .prefix_w = 0});
+  std::set<test::MaxMatch> expected;
+  for (const auto& q :
+       PairGenerator::generate_all(serial, {.dup_elim = false})) {
+    expected.insert({q.seq_a, q.pos_a, q.seq_b, q.pos_b, q.match_len});
+  }
+
+  constexpr std::uint32_t kPairs = 1, kRounds = 2, kTreeOk = 3;
+  vmpi::Runtime rt(p, "proc");
+  const auto cost = rt.run([&](vmpi::Comm& comm) {
+    ParallelGstParams params;
+    params.gst = GstParams{.min_match = psi, .prefix_w = w};
+    params.fetch_batch_chars = 512;  // force multiple fetch rounds
+    auto dist = gst::build_distributed_gst(comm, store, params);
+    PairGenerator gen(*dist.tree, {.dup_elim = false});
+    std::vector<std::uint32_t> flat;
+    PromisingPair q;
+    while (gen.next(q)) {
+      flat.insert(flat.end(), {dist.local_to_global[q.seq_a], q.pos_a,
+                               dist.local_to_global[q.seq_b], q.pos_b,
+                               q.match_len});
+    }
+    comm.stash_put(kPairs, flat.data(), flat.size() * sizeof(flat[0]));
+    comm.stash_value<std::uint64_t>(kRounds, dist.stats.fetch_rounds);
+    comm.stash_value<std::uint8_t>(
+        kTreeOk, dist.tree->check_invariants().empty() ? 1 : 0);
+  });
+
+  std::set<test::MaxMatch> got;
+  bool dup = false;
+  for (int r = 0; r < p; ++r) {
+    EXPECT_EQ(cost.stash_value<std::uint8_t>(r, kTreeOk), 1) << "rank " << r;
+    EXPECT_GT(cost.stash_value<std::uint64_t>(r, kRounds).value_or(0), 1u)
+        << "rank " << r << " fetched in a single round";
+    const auto& bytes = cost.stash[static_cast<std::size_t>(r)].at(kPairs);
+    std::vector<std::uint32_t> flat(bytes.size() / sizeof(std::uint32_t));
+    if (!flat.empty()) std::memcpy(flat.data(), bytes.data(), bytes.size());
+    for (std::size_t i = 0; i + 5 <= flat.size(); i += 5) {
+      test::MaxMatch mm{flat[i], flat[i + 1], flat[i + 2], flat[i + 3],
+                        flat[i + 4]};
+      if (std::get<0>(mm) > std::get<2>(mm)) {
+        mm = {std::get<2>(mm), std::get<3>(mm), std::get<0>(mm),
+              std::get<1>(mm), std::get<4>(mm)};
+      }
+      if (!got.insert(mm).second) dup = true;
+    }
+  }
+  EXPECT_FALSE(dup) << "a maximal match was generated on two ranks";
+  EXPECT_EQ(got, expected);
+}
+
+// --- Fetch codec: one owner's reply to one request list ---------------------
+
+seq::FragmentStore fetch_store() {
+  seq::FragmentStore store;
+  store.add_ascii("ACGTA");
+  store.add_ascii("GG");
+  store.add_ascii("TTNCA");
+  store.add_ascii("C");
+  return store;
+}
+
+WireErrc fetch_error(const std::vector<std::uint8_t>& bytes,
+                     const std::vector<std::uint32_t>& requested) {
+  auto r = gst::try_decode_fetch_reply(bytes, requested);
+  EXPECT_FALSE(r.has_value()) << "a bad fetch reply was accepted";
+  return r.has_value() ? WireErrc{} : r.error().code;
+}
+
+TEST(GstFetchCodec, RoundTripsInRequestOrder) {
+  const auto store = fetch_store();
+  const std::vector<std::uint32_t> req{2, 0, 3};
+  const auto bytes = gst::encode_fetch_reply(store, 0, 4, req);
+  auto r = gst::try_decode_fetch_reply(bytes, req);
+  ASSERT_TRUE(r.has_value()) << r.error().message();
+  ASSERT_EQ(r.value().size(), req.size());
+  for (std::size_t i = 0; i < req.size(); ++i) {
+    const auto want = store.seq(req[i]);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), r.value()[i].begin(),
+                           r.value()[i].end()))
+        << "request " << i;
+  }
+  EXPECT_TRUE(gst::try_decode_fetch_reply({}, {}).has_value());
+}
+
+TEST(GstFetchCodec, TruncatedHeaderIsRejected) {
+  const auto store = fetch_store();
+  auto bytes =
+      gst::encode_fetch_reply(store, 0, 4, std::vector<std::uint32_t>{1});
+  bytes.resize(6);  // id + half of the count
+  EXPECT_EQ(fetch_error(bytes, {1}), WireErrc::kTruncated);
+}
+
+TEST(GstFetchCodec, CountPastTheEndIsRejected) {
+  const auto store = fetch_store();
+  auto bytes =
+      gst::encode_fetch_reply(store, 0, 4, std::vector<std::uint32_t>{0});
+  bytes[4] += 1;  // one code more than the payload carries
+  EXPECT_EQ(fetch_error(bytes, {0}), WireErrc::kTruncated);
+}
+
+TEST(GstFetchCodec, UnrequestedIdIsRejected) {
+  const auto store = fetch_store();
+  const auto bytes =
+      gst::encode_fetch_reply(store, 0, 4, std::vector<std::uint32_t>{3});
+  EXPECT_EQ(fetch_error(bytes, {1}), WireErrc::kBadValue);
+}
+
+TEST(GstFetchCodec, ReorderedIdIsRejected) {
+  const auto store = fetch_store();
+  // Same ids and lengths, answered in the wrong order: only the id check
+  // can tell.
+  const auto bytes =
+      gst::encode_fetch_reply(store, 0, 4, std::vector<std::uint32_t>{2, 0});
+  EXPECT_EQ(fetch_error(bytes, {0, 2}), WireErrc::kBadValue);
+}
+
+TEST(GstFetchCodec, TrailingBytesAreRejected) {
+  const auto store = fetch_store();
+  auto bytes =
+      gst::encode_fetch_reply(store, 0, 4, std::vector<std::uint32_t>{1});
+  bytes.push_back(0);
+  EXPECT_EQ(fetch_error(bytes, {1}), WireErrc::kOversized);
+}
+
+TEST(GstFetchCodec, CodeOutOfRangeIsRejected) {
+  const auto store = fetch_store();
+  auto bytes =
+      gst::encode_fetch_reply(store, 0, 4, std::vector<std::uint32_t>{1});
+  bytes.back() = seq::kMask + 1;
+  EXPECT_EQ(fetch_error(bytes, {1}), WireErrc::kBadValue);
+}
+
+TEST(GstFetchCodec, RequestOutsideServerSliceIsRejected) {
+  const auto store = fetch_store();
+  for (const std::uint32_t id : {0u, 3u, 4u, 1000u}) {
+    try {
+      (void)gst::encode_fetch_reply(store, 1, 3,
+                                    std::vector<std::uint32_t>{1, id});
+      ADD_FAILURE() << "served id " << id << " outside slice [1, 3)";
+    } catch (const WireFormatError& e) {
+      EXPECT_EQ(e.error().code, WireErrc::kBadValue);
+    }
+  }
+}
+
+// --- Checks on peer-supplied construction state -----------------------------
+
+// The detail of the check that rejected `s` (each check names itself).
+std::string suffix_error(const seq::FragmentStore& store, Suffix s) {
+  try {
+    gst::check_received_suffixes(store, std::vector<Suffix>{s}, 2);
+  } catch (const WireFormatError& e) {
+    EXPECT_EQ(e.error().code, WireErrc::kBadValue);
+    return e.error().detail;
+  }
+  return "accepted";
+}
+
+TEST(GstReceivedState, EnumeratedSuffixesAreAccepted) {
+  const auto store = fetch_store();
+  EXPECT_NO_THROW(gst::check_received_suffixes(
+      store, gst::enumerate_suffixes(store, 2), 2));
+}
+
+TEST(GstReceivedState, SuffixSeqOutsideStoreIsRejected) {
+  EXPECT_EQ(suffix_error(fetch_store(), {.seq = 4, .pos = 0, .len = 2}),
+            "suffix seq outside the store");
+}
+
+TEST(GstReceivedState, SuffixPosPastFragmentIsRejected) {
+  EXPECT_EQ(suffix_error(fetch_store(), {.seq = 1, .pos = 2, .len = 0}),
+            "suffix pos past its fragment");
+}
+
+TEST(GstReceivedState, SuffixLengthOutsideFragmentIsRejected) {
+  EXPECT_EQ(suffix_error(fetch_store(), {.seq = 0, .pos = 2, .len = 4}),
+            "suffix length outside its fragment");
+  EXPECT_EQ(suffix_error(fetch_store(), {.seq = 0, .pos = 2, .len = 1}),
+            "suffix length outside its fragment");
+}
+
+TEST(GstReceivedState, SuffixClassOutOfRangeIsRejected) {
+  EXPECT_EQ(suffix_error(fetch_store(),
+                         {.seq = 0, .pos = 1, .len = 2,
+                          .cls = static_cast<std::uint8_t>(gst::kNumClasses)}),
+            "suffix class out of range");
+}
+
+TEST(GstReceivedState, OwnerTableOutsideRanksIsRejected) {
+  EXPECT_NO_THROW(
+      gst::check_owner_table(std::vector<std::int32_t>{-1, 0, 2, 1}, 4, 3));
+  for (const std::int32_t bad : {3, -2}) {
+    try {
+      gst::check_owner_table(std::vector<std::int32_t>{0, bad, 1, 1}, 4, 3);
+      ADD_FAILURE() << "owner " << bad << " accepted for 3 ranks";
+    } catch (const WireFormatError& e) {
+      EXPECT_EQ(e.error().code, WireErrc::kBadValue);
+    }
+  }
+  try {
+    gst::check_owner_table(std::vector<std::int32_t>{0, 1}, 4, 3);
+    ADD_FAILURE() << "a 2-entry table accepted for 4 buckets";
+  } catch (const WireFormatError& e) {
+    EXPECT_EQ(e.error().code, WireErrc::kCountMismatch);
+  }
+}
 
 TEST(ParallelGst, RebuiltPortionSurvivesMove) {
   // rebuild_rank_portion's tree references the portion's own local_store;

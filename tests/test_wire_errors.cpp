@@ -1,7 +1,7 @@
 // Regression tests for the typed wire-decode error discipline (DESIGN.md
 // section 10): truncated/mistagged/corrupt payloads must surface as
-// WireError values (or WireFormatError from the legacy entry points), never
-// as out-of-bounds reads, and the protocol layer must recover from
+// WireError values (or WireFormatError through take_or_throw), never as
+// out-of-bounds reads, and the protocol layer must recover from
 // duplicates and drops via the seq/cached-reply mechanism. The proc
 // transport's exit-blob decoder is held to the same rule.
 #include <gtest/gtest.h>
@@ -59,12 +59,12 @@ TEST(WireErrors, TruncatedReportPrefixesYieldTypedErrors) {
   const auto bytes = encode_report(sample_report());
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     auto r = try_decode_report(
-        std::span<const std::uint8_t>(bytes.data(), cut));
+        std::span<const std::byte>(bytes.data(), cut));
     ASSERT_FALSE(r.has_value()) << "prefix of " << cut << " bytes decoded";
     EXPECT_EQ(r.error().code, WireErrc::kTruncated) << "cut=" << cut;
   }
   // The full payload still round-trips.
-  auto ok = try_decode_report(std::span<const std::uint8_t>(bytes));
+  auto ok = try_decode_report(std::span<const std::byte>(bytes));
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(encode_report(ok.value()), bytes);
 }
@@ -73,19 +73,19 @@ TEST(WireErrors, TruncatedReplyPrefixesYieldTypedErrors) {
   const auto bytes = encode_reply(sample_reply());
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     auto r =
-        try_decode_reply(std::span<const std::uint8_t>(bytes.data(), cut));
+        try_decode_reply(std::span<const std::byte>(bytes.data(), cut));
     ASSERT_FALSE(r.has_value()) << "prefix of " << cut << " bytes decoded";
     EXPECT_EQ(r.error().code, WireErrc::kTruncated) << "cut=" << cut;
   }
-  auto ok = try_decode_reply(std::span<const std::uint8_t>(bytes));
+  auto ok = try_decode_reply(std::span<const std::byte>(bytes));
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(encode_reply(ok.value()), bytes);
 }
 
 TEST(WireErrors, GarbageKindTagIsBadTag) {
   auto report_bytes = encode_report(sample_report());
-  report_bytes[0] = 0x00;
-  auto r = try_decode_report(std::span<const std::uint8_t>(report_bytes));
+  report_bytes[0] = std::byte{0x00};
+  auto r = try_decode_report(std::span<const std::byte>(report_bytes));
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, WireErrc::kBadTag);
 
@@ -93,12 +93,12 @@ TEST(WireErrors, GarbageKindTagIsBadTag) {
   // byte exists to catch) also fails with kBadTag, not a misparse.
   const auto reply_bytes = encode_reply(sample_reply());
   auto misrouted =
-      try_decode_report(std::span<const std::uint8_t>(reply_bytes));
+      try_decode_report(std::span<const std::byte>(reply_bytes));
   ASSERT_FALSE(misrouted.has_value());
   EXPECT_EQ(misrouted.error().code, WireErrc::kBadTag);
 
   auto reply_as_reply = try_decode_reply(
-      std::span<const std::uint8_t>(report_bytes.data() + 0,
+      std::span<const std::byte>(report_bytes.data() + 0,
                                     report_bytes.size()));
   ASSERT_FALSE(reply_as_reply.has_value());
   EXPECT_EQ(reply_as_reply.error().code, WireErrc::kBadTag);
@@ -106,20 +106,23 @@ TEST(WireErrors, GarbageKindTagIsBadTag) {
 
 TEST(WireErrors, TrailingBytesAreOversized) {
   auto bytes = encode_report(sample_report());
-  bytes.push_back(0xAB);
-  auto r = try_decode_report(std::span<const std::uint8_t>(bytes));
+  bytes.push_back(std::byte{0xAB});
+  auto r = try_decode_report(std::span<const std::byte>(bytes));
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, WireErrc::kOversized);
   EXPECT_EQ(r.error().offset, bytes.size() - 1);
 }
 
 TEST(WireErrors, HugeElementCountFailsBeforeAllocating) {
-  // [kind][seq u64][results count u64 = 2^61]: the decoder must reject the
-  // count against the remaining buffer size instead of trying to reserve.
-  std::vector<std::uint8_t> bytes{kWireKindReport};
-  for (int i = 0; i < 8; ++i) bytes.push_back(0);  // seq
-  bytes.insert(bytes.end(), {0, 0, 0, 0, 0, 0, 0, 0x20});  // count
-  auto r = try_decode_report(std::span<const std::uint8_t>(bytes));
+  // [kind][seq u64][results count u32 = 0][new_pairs count u32 = 2^29]:
+  // the decoder must reject the count against the remaining buffer size
+  // instead of trying to reserve.
+  std::vector<std::byte> bytes{std::byte{kWireKindReport}};
+  for (int i = 0; i < 8; ++i) bytes.push_back(std::byte{0});  // seq
+  for (const int b : {0, 0, 0, 0, 0, 0, 0, 0x20}) {           // counts
+    bytes.push_back(static_cast<std::byte>(b));
+  }
+  auto r = try_decode_report(std::span<const std::byte>(bytes));
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, WireErrc::kTruncated);
 }
@@ -188,12 +191,14 @@ TEST(WireErrors, AssembliesBadCodeAndFlipAreBadValue) {
   EXPECT_EQ(r.error().code, WireErrc::kBadValue);
 }
 
-TEST(WireErrors, LegacyDecodeThrowsWireFormatErrorWithCode) {
+// A caller that cannot drop a bad payload unwraps with take_or_throw, which
+// raises WireFormatError carrying the structured error.
+TEST(WireErrors, TakeOrThrowRaisesWireFormatErrorWithCode) {
   auto bytes = encode_reply(sample_reply());
   bytes.resize(bytes.size() / 2);
   try {
-    (void)decode_reply(bytes);
-    FAIL() << "decode_reply accepted a truncated payload";
+    (void)try_decode_reply(bytes).take_or_throw();
+    FAIL() << "try_decode_reply accepted a truncated payload";
   } catch (const WireFormatError& e) {
     EXPECT_EQ(e.error().code, WireErrc::kTruncated);
     EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
@@ -475,7 +480,7 @@ TEST(WireErrors, GstCheckpointValidatesShape) {
 TEST(WireErrors, ErrorMessageNamesCodeAndOffset) {
   const auto bytes = encode_report(sample_report());
   auto r = try_decode_report(
-      std::span<const std::uint8_t>(bytes.data(), bytes.size() - 1));
+      std::span<const std::byte>(bytes.data(), bytes.size() - 1));
   ASSERT_FALSE(r.has_value());
   const std::string msg = r.error().message();
   EXPECT_NE(msg.find("truncated"), std::string::npos) << msg;
@@ -511,7 +516,7 @@ TEST(WireErrors, DuplicateSeqReportGetsCachedReply) {
       WorkerReport rep = sample_report();
       rep.seq = 41;
       for (int round = 0; round < 2; ++round) {
-        c.send_payload(0, kTagReport, encode_report_payload(rep));
+        c.send_payload(0, kTagReport, encode_report(rep));
         const auto raw = c.recv(0, kTagReply);
         auto reply = try_decode_reply(std::span<const std::byte>(raw));
         ASSERT_TRUE(reply.has_value());
@@ -542,7 +547,7 @@ TEST(WireErrors, RecvReportSurfacesCorruptPayloadAsTypedError) {
       EXPECT_EQ(retry.value().seq, 41u);
       c.send_value<int>(1, 99, 1);
     } else {
-      auto bytes = encode_report_payload([] {
+      auto bytes = encode_report([] {
         WorkerReport r;
         r.seq = 41;
         return r;

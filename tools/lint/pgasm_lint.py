@@ -5,9 +5,10 @@ Checks
 ------
 W001  wire-protocol hygiene: every protocol tag in core/cluster_protocol.hpp
       carries a `pgasm-wire:` annotation naming either `raw-u64` or exactly
-      one encode_X/decode_X codec pair; each named pair must be declared in
-      core/wire.hpp, be claimed by exactly one tag, and be exercised by a
-      round-trip test under tests/ (both halves referenced).
+      one encode_X/try_decode_X (or encode_X/decode_X) codec pair; each
+      named pair must be declared in core/wire.hpp, be claimed by exactly
+      one tag, and be exercised by a round-trip test under tests/ (both
+      halves referenced).
 W002  raw-comm confinement: vmpi send/recv calls are confined to the
       protocol layers (src/vmpi/ itself, core/cluster_protocol.*,
       gst/parallel_build.cpp). Anywhere else needs an explicit waiver:
@@ -253,11 +254,11 @@ def check_w001() -> None:
             continue
         if annot == "raw-u64":
             continue
-        m = re.fullmatch(r"(encode_\w+)/(decode_\w+)", annot)
+        m = re.fullmatch(r"(encode_\w+)/((?:try_)?decode_\w+)", annot)
         if not m:
             finding(proto, line_no, "W001", "wire",
                     f"{tag} annotation {annot!r} is neither raw-u64 nor "
-                    "encode_X/decode_X")
+                    "encode_X/[try_]decode_X")
             continue
         enc, dec = m.group(1), m.group(2)
         if annot in claimed:
@@ -272,7 +273,7 @@ def check_w001() -> None:
                         "such codec")
         # Round-trip coverage: both halves (or the try_ decode variant)
         # must appear in a test.
-        has_enc = re.search(rf"\b{enc}\s*\(|\b{enc}_payload\s*\(", test_text)
+        has_enc = re.search(rf"\b{enc}\s*\(", test_text)
         has_dec = re.search(rf"\b(try_)?{dec}\s*\(", test_text)
         if not (has_enc and has_dec):
             finding(proto, line_no, "W001", "wire",
