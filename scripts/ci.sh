@@ -11,8 +11,8 @@
 #   scripts/ci.sh tsan       # just the TSan build of the concurrent layers
 #   scripts/ci.sh asan       # just the ASan build of the align, core and
 #                            # byte-codec suites
-#   scripts/ci.sh lint       # pgasm-lint + protocol_check + strict-warnings
-#                            # build (+ clang tools when installed)
+#   scripts/ci.sh lint       # pgasm-lint + strict-warnings build (+ clang
+#                            # tools when installed)
 #   scripts/ci.sh determ     # pgasm-determcheck static determinism analysis
 #                            # (W016-W019): src/ must carry zero
 #                            # nondeterminism findings; JSON report lands in
@@ -100,20 +100,12 @@ asan() {
     --target test_align test_workspace test_cluster test_wire_errors \
     test_parallel_gst
   (cd build-asan && ctest --output-on-failure \
-    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|LinearSpace|Cluster|WireErrors|ParallelGst')
+    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|LinearSpace|Cluster|WireErrors|ParallelGst|GstFetchCodec|GstReceivedState')
 }
 
 lint() {
   echo "== lint: pgasm-lint project invariants (W001-W015) =="
   python3 tools/lint/pgasm_lint.py
-
-  echo "== lint: protocol exhaustiveness checker =="
-  # Compiling protocol_check already enforces the structural static_asserts
-  # (one kProtocol row per kind, distinct tags, terminate reachable);
-  # running it adds the source cross-checks with readable diagnostics.
-  cmake -B build -S .
-  cmake --build build -j "$JOBS" --target protocol_check
-  ./build/tools/protocol_check/protocol_check "$(pwd)"
 
   echo "== lint: strict-warnings build (PGASM_EXTRA_WARNINGS + Werror) =="
   # Production code only: the strict set (notably -Wnull-dereference under
@@ -209,7 +201,7 @@ fuzz_smoke() {
   cmake -B build-ubsan -S . -DPGASM_SANITIZE=undefined
   cmake --build build-ubsan -j "$JOBS" \
     --target fuzz_wire fuzz_fasta fuzz_fastq fuzz_checkpoint fuzz_manifest \
-    fuzz_assemblies fuzz_exit_blob fuzz_gst_fetch
+    fuzz_assemblies fuzz_exit_blob fuzz_gst_fetch fuzz_gst_checkpoint
   (cd build-ubsan && ctest --output-on-failure -L fuzz)
 }
 

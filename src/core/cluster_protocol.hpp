@@ -15,18 +15,19 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "core/cluster_params.hpp"
 #include "core/wire.hpp"
+#include "gst/gst_protocol.hpp"
+#include "util/protocol_table.hpp"
 #include "vmpi/runtime.hpp"
 
 namespace pgasm::core {
 
 /// Protocol message kinds. The enumerator values ARE the vmpi tags on the
-/// wire (kept from the integer-tag era, so old traces and the kTag*
-/// aliases below stay valid); to_tag() converts at the comm boundary.
+/// wire (kept from the integer-tag era, so old traces stay valid); to_tag()
+/// converts at the comm boundary.
 /// Being an enum class makes every dispatch switch compiler-checked:
 /// -Werror=switch (always on, see pgasm_warnings) turns an unhandled kind
 /// into a build break, and pgasm-lint W009 additionally rejects a silent
@@ -38,26 +39,12 @@ enum class MsgKind : std::uint8_t {
   kAck = 104,     ///< worker -> master heartbeat ack (echoes the epoch)
 };
 
-/// Every protocol kind, for table-driven iteration (protocol_check, tests).
+/// Every protocol kind, for the table checks below.
 inline constexpr MsgKind kAllMsgKinds[] = {MsgKind::kReport, MsgKind::kReply,
                                            MsgKind::kPing, MsgKind::kAck};
 
 /// vmpi tag for a message kind (the enumerator value, by construction).
 constexpr int to_tag(MsgKind kind) noexcept { return static_cast<int>(kind); }
-
-/// Classify a vmpi tag probed off the wire; nullopt for tags outside the
-/// protocol. Exhaustive over MsgKind (enforced by -Werror=switch + W009).
-constexpr std::optional<MsgKind> msg_kind_of(int tag) noexcept {
-  const auto kind = static_cast<MsgKind>(tag);
-  switch (kind) {
-    case MsgKind::kReport:
-    case MsgKind::kReply:
-    case MsgKind::kPing:
-    case MsgKind::kAck:
-      return kind;
-  }
-  return std::nullopt;
-}
 
 /// Stable lowercase name ("report", "reply", "ping", "ack") for logs and
 /// trace args. Exhaustive switch: adding a MsgKind without naming it here
@@ -76,33 +63,18 @@ constexpr const char* msg_kind_name(MsgKind kind) noexcept {
   return "?";  // unreachable for valid kinds; keeps the function total
 }
 
-// Legacy integer tag aliases (single source of truth: MsgKind). The
-// `pgasm-wire:` annotations are machine-checked by tools/lint/pgasm_lint.py:
-// every codec-bearing tag must name exactly one encode/decode pair declared
-// in core/wire.hpp, each pair must be claimed by exactly one tag, and a
-// round-trip test exercising both halves must exist under tests/.
-inline constexpr int kTagReport = to_tag(MsgKind::kReport);  // worker -> master
-                                        // pgasm-wire: encode_report/try_decode_report
-inline constexpr int kTagReply = to_tag(MsgKind::kReply);  // master -> worker
-                                        // pgasm-wire: encode_reply/try_decode_reply
-inline constexpr int kTagPing = to_tag(MsgKind::kPing);  // heartbeat
-                                        // pgasm-wire: raw-u64
-inline constexpr int kTagAck = to_tag(MsgKind::kAck);  // heartbeat ack
-                                        // pgasm-wire: raw-u64
-
 // --- Declarative protocol table --------------------------------------------
 //
 // One row per message kind: direction, codec pair, consuming handler, and —
 // because the fault-tolerance layer's whole correctness argument rests on
 // them — the recovery path when an instance is dropped and the defence when
-// it is duplicated. tools/protocol_check parses this table plus
-// kMasterTransitions below and statically cross-checks them against
-// wire.hpp and the protocol implementation; an empty cell is a check
-// failure, not a shrug.
+// it is duplicated. The static_asserts after the tables check them against
+// each other; an empty cell fails the build, not a shrug. pgasm-lint W001
+// reads the codec pairs from this table and checks that every encoder,
+// decoder and handler named here exists in the protocol sources.
 
 struct MsgSpec {
   MsgKind kind;
-  const char* name;          ///< must equal msg_kind_name(kind)
   const char* direction;     ///< "worker->master" or "master->worker"
   const char* encoder;       ///< producing codec / send form
   const char* decoder;       ///< consuming codec / recv form
@@ -112,26 +84,26 @@ struct MsgSpec {
 };
 
 inline constexpr MsgSpec kProtocol[] = {
-    {MsgKind::kReport, "report", "worker->master", "encode_report",
+    {MsgKind::kReport, "worker->master", "encode_report",
      "try_decode_report", "recv_report",
      "reply_timeout retransmit in await_reply",
      "ReplyChannel::is_duplicate seq match -> resend_cached"},
-    {MsgKind::kReply, "reply", "master->worker", "encode_reply",
+    {MsgKind::kReply, "master->worker", "encode_reply",
      "try_decode_reply", "await_reply",
      "duplicate report solicits ReplyChannel::resend_cached",
      "stale seq discarded by await_reply seq filter"},
-    {MsgKind::kPing, "ping", "master->worker", "send_value",
+    {MsgKind::kPing, "master->worker", "send_value",
      "recv_value", "poll_heartbeats",
      "next heartbeat_round or keepalive_pings re-pings",
      "idempotent: every ping is answered with its own epoch"},
-    {MsgKind::kAck, "ack", "worker->master", "send_value",
+    {MsgKind::kAck, "worker->master", "send_value",
      "recv_value", "heartbeat_round",
      "non-responder is passed to declare_dead (false positive is safe)",
      "stale-epoch acks filtered by the epoch stamp"},
 };
 
-/// Table row for a kind; nullptr when the table misses one (protocol_check
-/// and test_cluster assert it never does).
+/// Table row for a kind; nullptr when the table misses one (the
+/// one-row-per-kind static_assert below rules that out).
 constexpr const MsgSpec* find_spec(MsgKind kind) noexcept {
   for (const MsgSpec& spec : kProtocol) {
     if (spec.kind == kind) return &spec;
@@ -143,10 +115,11 @@ constexpr const MsgSpec* find_spec(MsgKind kind) noexcept {
 //
 // The master pump (master_loop in parallel_cluster.cpp) as an explicit
 // state/transition table. The implementation is a hand-rolled loop — this
-// table is its contract: tools/protocol_check verifies that kTerminate is
+// table is its contract: the static_asserts below prove that kTerminate is
 // reachable from every state (no livelock by construction) and that every
-// state has at least one outgoing edge; the `// [MasterState::k*]` markers
-// in master_loop tie the code back to the states.
+// other state has an outgoing edge; the `// [MasterState::k*]` markers in
+// master_loop tie the code back to the states (pgasm-lint W001 checks that
+// each one exists).
 
 enum class MasterState : std::uint8_t {
   kProbe,       ///< bounded wait for any worker report
@@ -208,11 +181,12 @@ inline constexpr MasterTransition kMasterTransitions[] = {
 // The worker pump (worker_loop in parallel_cluster.cpp) as an explicit
 // state/transition table, mirroring kMasterTransitions above. The
 // `// [WorkerState::k*]` markers in worker_loop tie the code back to the
-// states; tools/protocol_check verifies the markers exist, that kShutdown
-// is reachable from every state, and that every non-terminal state has an
-// outgoing edge. tools/verify/pgasm-model goes further: it composes this
-// machine with the master machine and a bounded lossy channel and
-// exhaustively proves deadlock freedom and terminate-reachability.
+// states (pgasm-lint W001 checks that each one exists); the static_asserts
+// below prove kShutdown reachable from every state and give every other
+// state an outgoing edge. tools/verify/pgasm-model goes further: it
+// composes this machine with the master machine and a bounded lossy
+// channel and exhaustively proves deadlock freedom and
+// terminate-reachability.
 
 enum class WorkerState : std::uint8_t {
   kGenerate,    ///< answer pings, consume queued terminates, build a report
@@ -314,6 +288,102 @@ inline constexpr MasterRecvSpec kMasterRecvs[] = {
     {MasterState::kTerminate, MsgKind::kReport, "drain_worker_traffic"},
     {MasterState::kTerminate, MsgKind::kAck, "drain_worker_traffic"},
 };
+
+// --- Table checks ----------------------------------------------------------
+//
+// Breaking any of these fails the pgasm_core build.
+
+/// Each side's recv table holds only kinds sent its way (per the kProtocol
+/// direction cells).
+constexpr bool recv_tables_follow_directions() noexcept {
+  using util::protocol::same_text;
+  for (const WorkerRecvSpec& r : kWorkerRecvs) {
+    if (!same_text(find_spec(r.kind)->direction, "master->worker")) {
+      return false;
+    }
+  }
+  for (const MasterRecvSpec& r : kMasterRecvs) {
+    if (!same_text(find_spec(r.kind)->direction, "worker->master")) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Every kind has a recv row on its destination side: somebody is declared
+/// to consume it.
+constexpr bool every_kind_received() noexcept {
+  for (const MsgSpec& spec : kProtocol) {
+    bool covered = false;
+    if (util::protocol::same_text(spec.direction, "master->worker")) {
+      for (const WorkerRecvSpec& r : kWorkerRecvs) {
+        covered = covered || r.kind == spec.kind;
+      }
+    } else {
+      for (const MasterRecvSpec& r : kMasterRecvs) {
+        covered = covered || r.kind == spec.kind;
+      }
+    }
+    if (!covered) return false;
+  }
+  return true;
+}
+
+/// The clustering and GST protocols share one vmpi tag namespace; their
+/// tag ranges must not overlap, or a probe in one layer could consume the
+/// other's message.
+constexpr bool tag_ranges_disjoint() noexcept {
+  int lo = to_tag(kAllMsgKinds[0]);
+  int hi = lo;
+  for (const MsgKind kind : kAllMsgKinds) {
+    lo = to_tag(kind) < lo ? to_tag(kind) : lo;
+    hi = to_tag(kind) > hi ? to_tag(kind) : hi;
+  }
+  for (const gst::GstMsgKind kind : gst::kAllGstMsgKinds) {
+    if (gst::to_tag(kind) >= lo && gst::to_tag(kind) <= hi) return false;
+  }
+  return true;
+}
+
+static_assert(util::protocol::one_row_per_kind(kAllMsgKinds, kProtocol),
+              "every MsgKind needs exactly one kProtocol row");
+static_assert(util::protocol::no_empty_cell(kProtocol),
+              "every kProtocol cell must be filled");
+static_assert(util::protocol::terminal_reachable_from_all(
+                  kAllMasterStates, kMasterTransitions,
+                  MasterState::kTerminate),
+              "kTerminate must be reachable from every MasterState");
+static_assert(util::protocol::terminal_reachable_from_all(
+                  kAllWorkerStates, kWorkerTransitions, WorkerState::kShutdown),
+              "kShutdown must be reachable from every WorkerState");
+static_assert(util::protocol::only_terminal_is_a_sink(
+                  kAllMasterStates, kMasterTransitions,
+                  MasterState::kTerminate),
+              "kTerminate must have no outgoing edge, every other "
+              "MasterState at least one");
+static_assert(util::protocol::only_terminal_is_a_sink(
+                  kAllWorkerStates, kWorkerTransitions, WorkerState::kShutdown),
+              "kShutdown must have no outgoing edge, every other WorkerState "
+              "at least one");
+static_assert(util::protocol::every_state_entered(
+                  kAllMasterStates, kMasterTransitions, MasterState::kProbe),
+              "every MasterState but the start state kProbe must be entered "
+              "by some edge");
+static_assert(util::protocol::every_state_entered(
+                  kAllWorkerStates, kWorkerTransitions, WorkerState::kGenerate),
+              "every WorkerState but the start state kGenerate must be "
+              "entered by some edge");
+static_assert(util::protocol::every_edge_documented(kMasterTransitions),
+              "every kMasterTransitions edge must document its condition");
+static_assert(util::protocol::every_edge_documented(kWorkerTransitions),
+              "every kWorkerTransitions edge must document its condition");
+static_assert(recv_tables_follow_directions(),
+              "a recv table declares a side receiving a kind kProtocol "
+              "sends the other way");
+static_assert(every_kind_received(),
+              "every MsgKind needs a recv row on its destination side");
+static_assert(tag_ranges_disjoint(),
+              "clustering and GST tag ranges must not overlap");
 
 /// Answer any queued heartbeat pings from the master. Returns how many were
 /// answered (the worker's master-silence clock resets on contact).

@@ -41,8 +41,9 @@ constexpr std::uint32_t kStashGstWall = 0x6777;   // "gw": double, wall secs
 
 // The pump below implements the MasterState machine declared in
 // cluster_protocol.hpp (kMasterTransitions); the [MasterState::k*] markers
-// tie each region to its state so tools/protocol_check's reachability
-// argument reads against the code. Everything here — scheduler, reply
+// tie each region to its state so the table's compile-time reachability
+// proof reads against the code (pgasm-lint W001 checks that each marker
+// exists). Everything here — scheduler, reply
 // channel, checkpoint cadence — is thread-confined to the rank-0 thread:
 // no locks by design, which is why none of it carries PGASM_GUARDED_BY.
 void master_loop(vmpi::Comm& comm, const ClusterParams& params,
@@ -231,7 +232,7 @@ struct RoleGen {
 
 // The worker pump. Its phases follow core::kWorkerTransitions — the
 // `[WorkerState::k*]` markers below are machine-checked against that table
-// by tools/protocol_check, and tools/verify/pgasm-model exhaustively
+// by pgasm-lint W001, and tools/verify/pgasm-model exhaustively
 // explores the composed master×worker×channel state space built from it.
 void worker_loop(vmpi::Comm& comm, const ClusterParams& params,
                  const gst::ParallelGstParams& gp,

@@ -2,10 +2,10 @@
 // (build_distributed_gst_ft in parallel_build.cpp): the coordinator
 // (rank 0) collects bucket histograms, plans bucket ownership, referees the
 // suffix redistribution, and confirms completion with a Done/Final/FinalAck
-// handshake. Declared as data, mirroring core/cluster_protocol.hpp, so
-// tools/protocol_check can cross-check the table against the
-// implementation and pgasm-lint W015 can demand that every wire tag appear
-// in exactly one declarative table.
+// handshake. Declared as data, mirroring core/cluster_protocol.hpp: the
+// static_asserts below check the table, pgasm-lint W001 checks that the
+// forms and handlers it names exist in the sources, and pgasm-lint W015
+// demands that every wire tag appear in exactly one declarative table.
 //
 // Recovery philosophy (differs from the clustering protocol): every
 // message's content is a pure function of (global store, params, owner
@@ -17,7 +17,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+
+#include "util/protocol_table.hpp"
 
 namespace pgasm::gst {
 
@@ -36,7 +37,7 @@ enum class GstMsgKind : std::uint8_t {
   kFtFinalAck = 216,  ///< worker -> 0: final table received
 };
 
-/// Every protocol kind, for table-driven iteration (protocol_check, tests).
+/// Every protocol kind, for the table checks below.
 inline constexpr GstMsgKind kAllGstMsgKinds[] = {
     GstMsgKind::kFtHist,  GstMsgKind::kFtPlan,    GstMsgKind::kFtSuffix,
     GstMsgKind::kFtDone,  GstMsgKind::kFtFinal,   GstMsgKind::kFtPlanReq,
@@ -48,56 +49,14 @@ constexpr int to_tag(GstMsgKind kind) noexcept {
   return static_cast<int>(kind);
 }
 
-/// Classify a vmpi tag probed off the wire; nullopt for tags outside the
-/// protocol. Exhaustive over GstMsgKind (enforced by -Werror=switch + W009).
-constexpr std::optional<GstMsgKind> gst_msg_kind_of(int tag) noexcept {
-  const auto kind = static_cast<GstMsgKind>(tag);
-  switch (kind) {
-    case GstMsgKind::kFtHist:
-    case GstMsgKind::kFtPlan:
-    case GstMsgKind::kFtSuffix:
-    case GstMsgKind::kFtDone:
-    case GstMsgKind::kFtFinal:
-    case GstMsgKind::kFtPlanReq:
-    case GstMsgKind::kFtFinalAck:
-      return kind;
-  }
-  return std::nullopt;
-}
-
-/// Stable lowercase name for logs and trace args. Exhaustive switch: adding
-/// a GstMsgKind without naming it here is a compile error.
-constexpr const char* gst_msg_kind_name(GstMsgKind kind) noexcept {
-  switch (kind) {
-    case GstMsgKind::kFtHist:
-      return "ft_hist";
-    case GstMsgKind::kFtPlan:
-      return "ft_plan";
-    case GstMsgKind::kFtSuffix:
-      return "ft_suffix";
-    case GstMsgKind::kFtDone:
-      return "ft_done";
-    case GstMsgKind::kFtFinal:
-      return "ft_final";
-    case GstMsgKind::kFtPlanReq:
-      return "ft_plan_req";
-    case GstMsgKind::kFtFinalAck:
-      return "ft_final_ack";
-  }
-  return "?";  // unreachable for valid kinds; keeps the function total
-}
-
 // --- Declarative protocol table --------------------------------------------
 //
 // One row per message kind: direction, send/recv forms, the consuming
 // handler, and the recovery/defence story (the FT path's correctness
-// argument). tools/protocol_check parses this table and cross-checks the
-// identifiers against parallel_build.cpp; an empty cell is a check failure,
-// not a shrug.
+// argument). An empty cell fails the build, not a shrug.
 
 struct GstMsgSpec {
   GstMsgKind kind;
-  const char* name;          ///< must equal gst_msg_kind_name(kind)
   const char* direction;     ///< who sends to whom
   const char* encoder;       ///< producing send form
   const char* decoder;       ///< consuming recv form
@@ -107,58 +66,54 @@ struct GstMsgSpec {
 };
 
 inline constexpr GstMsgSpec kGstProtocol[] = {
-    {GstMsgKind::kFtHist, "ft_hist", "worker->coordinator", "send_vector",
+    {GstMsgKind::kFtHist, "worker->coordinator", "send_vector",
      "recv_vector_timeout", "build_distributed_gst_ft",
      "coordinator recomputes the silent rank's histogram locally via "
      "enumerate_suffixes_range and plans without it",
      "each worker sends exactly one histogram; a rank recovered locally and "
      "then heard from is already planned around"},
-    {GstMsgKind::kFtPlan, "ft_plan", "coordinator->worker", "send_vector",
+    {GstMsgKind::kFtPlan, "coordinator->worker", "send_vector",
      "recv_vector_timeout", "build_distributed_gst_ft",
      "worker re-requests via kFtPlanReq until kCoordinatorWaitTries is "
      "exhausted; a dead coordinator is fatal (TimeoutError)",
      "idempotent: the plan is identical on every re-send"},
-    {GstMsgKind::kFtSuffix, "ft_suffix", "rank->rank", "send_vector",
+    {GstMsgKind::kFtSuffix, "rank->rank", "send_vector",
      "recv_vector_timeout", "build_distributed_gst_ft",
      "receiver recomputes the sender's contribution locally via "
      "slice_contribution (content is a pure function of the global store)",
      "one message per (sender, receiver) pair; a locally recovered "
      "contribution supersedes any late arrival, which is never received"},
-    {GstMsgKind::kFtDone, "ft_done", "worker->coordinator", "send_value",
+    {GstMsgKind::kFtDone, "worker->coordinator", "send_value",
      "recv_value", "build_distributed_gst_ft",
      "coordinator times out, treats the silent rank as lost, and reassigns "
      "its buckets to confirmed survivors (LPT over current loads)",
      "duplicate Done doubles as a Final re-request: the coordinator answers "
      "it by re-sending kFtFinal"},
-    {GstMsgKind::kFtFinal, "ft_final", "coordinator->worker", "send_vector",
+    {GstMsgKind::kFtFinal, "coordinator->worker", "send_vector",
      "recv_vector_timeout", "build_distributed_gst_ft",
      "worker re-sends kFtDone until the Final arrives; a survivor that "
      "never learns the final table aborts (one-table invariant)",
      "idempotent: the final table is identical on every re-send"},
-    {GstMsgKind::kFtPlanReq, "ft_plan_req", "worker->coordinator",
+    {GstMsgKind::kFtPlanReq, "worker->coordinator",
      "send_value", "recv_value", "service_plan_reqs",
      "worker re-sends the request on every plan-recv timeout",
      "idempotent: every request is answered with the same plan"},
-    {GstMsgKind::kFtFinalAck, "ft_final_ack", "worker->coordinator",
+    {GstMsgKind::kFtFinalAck, "worker->coordinator",
      "send_value", "recv_value", "build_distributed_gst_ft",
      "coordinator re-sends kFtFinal to unacked survivors on every ack "
      "timeout until ft_max_retries idle rounds pass",
      "idempotent: the ack carries only the sender's rank"},
 };
 
-/// Table row for a kind; nullptr when the table misses one (protocol_check
-/// and test_parallel_gst assert it never does).
-constexpr const GstMsgSpec* find_gst_spec(GstMsgKind kind) noexcept {
-  for (const GstMsgSpec& spec : kGstProtocol) {
-    if (spec.kind == kind) return &spec;
-  }
-  return nullptr;
-}
+static_assert(util::protocol::one_row_per_kind(kAllGstMsgKinds, kGstProtocol),
+              "every GstMsgKind needs exactly one kGstProtocol row");
+static_assert(util::protocol::no_empty_cell(kGstProtocol),
+              "every kGstProtocol cell must be filled");
 
 // Integer tag aliases (single source of truth: GstMsgKind). The FT path
-// carries plain vectors/values — no bespoke codecs — so there are no
-// pgasm-wire annotations here; pgasm-lint W015 instead requires each of
-// these tags to appear in exactly one declarative protocol table (this one).
+// carries plain vectors/values, no bespoke codecs; pgasm-lint W015 requires
+// each of these tags to appear in exactly one declarative protocol table
+// (this one).
 inline constexpr int kTagFtHist = to_tag(GstMsgKind::kFtHist);
 inline constexpr int kTagFtPlan = to_tag(GstMsgKind::kFtPlan);
 inline constexpr int kTagFtSuffix = to_tag(GstMsgKind::kFtSuffix);

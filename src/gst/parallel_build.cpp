@@ -25,8 +25,8 @@ int owner_of(const std::vector<std::uint32_t>& slice_begin,
 
 // Fault-tolerant construction tags (coordinator = rank 0) come from
 // gst_protocol.hpp, where the protocol is declared as data: one
-// GstMsgSpec row per tag with its recovery/duplicate story, cross-checked
-// by tools/protocol_check and pgasm-lint W015.
+// GstMsgSpec row per tag with its recovery/duplicate story, checked by
+// the static_asserts beside the table and by pgasm-lint W001 and W015.
 
 /// Fill `result`'s local store and id map from the global store for the
 /// suffixes in `local_suffixes` (global seq ids, canonical order), then
@@ -252,6 +252,9 @@ util::WireResult<std::vector<std::vector<seq::Code>>> try_decode_fetch_reply(
 void check_received_suffixes(const seq::FragmentStore& global,
                              std::span<const Suffix> suffixes,
                              std::uint32_t min_len) {
+  // End of the unmasked run holding the previous record. Records arrive in
+  // canonical (seq, pos) order, so each fragment's runs are scanned once.
+  std::uint32_t run_end = 0;
   for (std::size_t i = 0; i < suffixes.size(); ++i) {
     const Suffix& s = suffixes[i];
     const char* bad = nullptr;
@@ -263,6 +266,24 @@ void check_received_suffixes(const seq::FragmentStore& global,
       bad = "suffix length outside its fragment";
     } else if (s.cls >= kNumClasses) {
       bad = "suffix class out of range";
+    } else if (i > 0 && (s.seq < suffixes[i - 1].seq ||
+                         (s.seq == suffixes[i - 1].seq &&
+                          s.pos <= suffixes[i - 1].pos))) {
+      bad = "suffix records out of canonical order";
+    } else {
+      const auto text = global.seq(s.seq);
+      const auto n = static_cast<std::uint32_t>(text.size());
+      if (s.pos >= run_end || s.seq != suffixes[i - 1].seq) {
+        run_end = s.pos;
+        while (run_end < n && seq::is_base(text[run_end])) ++run_end;
+      }
+      if (run_end == s.pos) {
+        bad = "suffix starts on a masked position";
+      } else if (s.len != run_end - s.pos) {
+        bad = "suffix length is not the effective length at pos";
+      } else if (s.cls != class_of(text, s.pos)) {
+        bad = "suffix class disagrees with the text";
+      }
     }
     if (bad != nullptr) {
       throw util::WireFormatError(util::WireError{

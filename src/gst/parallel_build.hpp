@@ -150,11 +150,14 @@ util::WireResult<std::vector<std::vector<seq::Code>>> try_decode_fetch_reply(
 
 // --- Checks on peer-supplied construction state -----------------------------
 
-/// Throw util::WireFormatError (kBadValue) unless every suffix record names
-/// a real position of `global` that enumeration with `min_len` could have
-/// produced: seq < global.size(), pos < length, min_len <= len <= length -
-/// pos, cls < kNumClasses. A redistributed record feeds the owner lookup,
-/// the fragment fetch and the tree build, which all index with it.
+/// Throw util::WireFormatError (kBadValue) unless the records are exactly
+/// ones that enumeration with `min_len` produces from `global`, in its
+/// canonical order: seq < global.size(), pos < length, min_len <= len <=
+/// length - pos, cls < kNumClasses, (seq, pos) strictly increasing, pos
+/// unmasked, len the effective length at pos, cls == class_of(text, pos).
+/// A redistributed record feeds the owner lookup, the fragment fetch and
+/// the tree build, which all index with it. O(1) per record after one scan
+/// of each referenced fragment's runs.
 void check_received_suffixes(const seq::FragmentStore& global,
                              std::span<const Suffix> suffixes,
                              std::uint32_t min_len);

@@ -1,2 +1,8 @@
-// protocol_bad fixture stub: deliberately missing the codec/handler
-// identifiers and [MasterState::k*] markers that protocol_check verifies.
+// Fixture stub: the master pump carries the kProbe marker and no other.
+namespace fixture {
+
+void master_loop() {
+  // [MasterState::kProbe]
+}
+
+}  // namespace fixture

@@ -1,2 +1,6 @@
-// protocol_bad fixture stub: deliberately missing the send/recv forms and
-// handler identifiers that protocol_check verifies for the GST protocol.
+// Fixture stub: the GST construction path, without finish_build.
+namespace fixture {
+
+int build() { return 0; }
+
+}  // namespace fixture

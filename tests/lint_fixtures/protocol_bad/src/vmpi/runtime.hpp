@@ -1,2 +1,8 @@
-// protocol_bad fixture stub: deliberately missing the codec/handler
-// identifiers and [MasterState::k*] markers that protocol_check verifies.
+// Fixture stub: the send form exists, its recv_value counterpart does not.
+#pragma once
+
+namespace fixture {
+
+void send_value(int dest, int tag, int value);
+
+}  // namespace fixture

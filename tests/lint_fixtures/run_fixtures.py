@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
-"""Golden fixtures for pgasm-lint W007-W015, protocol_check, and
+"""Golden fixtures for pgasm-lint W001 and W007-W015, and
 pgasm-determcheck W016-W019.
 
 Each wNNN_bad/ mini-tree seeds known violations (lines marked BAD) plus
 waived/clean lines; the analyzer must flag exactly the seeded count, with
 the right check and slug, and exit 1. The clean/ tree must produce zero
-findings and exit 0 under both tools. The protocol_bad/ tree (stub
-sources missing every handler identifier and state marker) must make
-protocol_check exit 1.
+findings and exit 0 under both tools. The protocol_bad/ tree (protocol
+tables naming codecs, handlers and states its stub sources lack) must
+draw W001's exact finding count.
 
 Also asserts the --format=json contract: finding IDs are present, carry
 the right tool prefix (PL- for lint, PD- for determcheck), are stable
 across runs, and unique within a run.
 
-Usage: run_fixtures.py <path-to-pgasm_lint.py> [<path-to-protocol_check>]
-                       [<path-to-pgasm_determcheck.py>]
+Usage: run_fixtures.py <path-to-pgasm_lint.py> [<path-to-pgasm_determcheck.py>]
 Exit 0 on success, 1 on any expectation failure.
 """
 
@@ -67,11 +66,23 @@ def main() -> int:
         print(__doc__)
         return 1
     lint = sys.argv[1]
-    protocol_check = sys.argv[2] if len(sys.argv) > 2 else None
-    determcheck = sys.argv[3] if len(sys.argv) > 3 else None
+    determcheck = sys.argv[2] if len(sys.argv) > 2 else None
 
     # Seeded-violation counts: keep in sync with the BAD markers in each
     # fixture source.
+    w1 = expect_findings(lint, "protocol_bad", "W001", 13)
+    w1_msgs = [f["message"] for f in w1.get("findings", [])]
+    check(any("'recv_report', which no protocol source" in m
+              for m in w1_msgs),
+          "W001 names a handler that only a comment mentions")
+    check(any("'finish_build', which no protocol source" in m
+              for m in w1_msgs),
+          "W001 checks the GST table's identifiers")
+    check(sum("marker" in m for m in w1_msgs) == 3,
+          "W001 names each of the 3 missing state markers")
+    check(not any("encode_report'" in m or "'send_value'" in m
+                  for m in w1_msgs),
+          "W001 accepts the identifiers the stub sources do declare")
     expect_findings(lint, "w007_bad", "W007", 5)
     expect_findings(lint, "w008_bad", "W008", 2)
     w9 = expect_findings(lint, "w009_bad", "W009", 2)
@@ -160,20 +171,6 @@ def main() -> int:
               "re-running determcheck produces identical finding IDs")
     else:
         print("pgasm_determcheck.py not supplied; skipping W016-W019")
-
-    if protocol_check:
-        print("protocol_bad via protocol_check:")
-        proc = subprocess.run(
-            [protocol_check, str(HERE / "protocol_bad")],
-            capture_output=True, text=True, timeout=120)
-        check(proc.returncode == 1,
-              f"exit code 1 on stub sources (got {proc.returncode})")
-        check("marker" in proc.stderr,
-              "protocol_check names the missing state markers")
-        check("no such identifier" in proc.stderr,
-              "protocol_check names the missing handler identifiers")
-    else:
-        print("protocol_check binary not supplied; skipping protocol_bad")
 
     if FAILURES:
         print(f"\n{len(FAILURES)} fixture expectation(s) failed")

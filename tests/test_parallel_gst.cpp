@@ -7,6 +7,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "gst/pair_generator.hpp"
 #include "gst/parallel_build.hpp"
@@ -337,6 +338,61 @@ TEST(GstReceivedState, SuffixClassOutOfRangeIsRejected) {
                          {.seq = 0, .pos = 1, .len = 2,
                           .cls = static_cast<std::uint8_t>(gst::kNumClasses)}),
             "suffix class out of range");
+}
+
+// One fragment with a masked position at 8: effective lengths run to it.
+seq::FragmentStore masked_store() {
+  seq::FragmentStore store;
+  store.add_ascii("ACGTACGTNACGTACGT");
+  return store;
+}
+
+TEST(GstReceivedState, SuffixCrossingMaskIsRejected) {
+  const auto store = masked_store();
+  EXPECT_NO_THROW(gst::check_received_suffixes(
+      store, gst::enumerate_suffixes(store, 2), 2));
+  // In bounds, but [0, 17) spans the mask: the tree build would index its
+  // group array with the mask code.
+  EXPECT_EQ(suffix_error(store, {.seq = 0, .pos = 0, .len = 17}),
+            "suffix length is not the effective length at pos");
+  EXPECT_EQ(suffix_error(store, {.seq = 0, .pos = 8, .len = 9}),
+            "suffix starts on a masked position");
+}
+
+TEST(GstReceivedState, SuffixShorterThanEffectiveLengthIsRejected) {
+  EXPECT_EQ(suffix_error(masked_store(), {.seq = 0, .pos = 0, .len = 4}),
+            "suffix length is not the effective length at pos");
+  EXPECT_EQ(suffix_error(masked_store(), {.seq = 0, .pos = 9, .len = 7}),
+            "suffix length is not the effective length at pos");
+}
+
+TEST(GstReceivedState, SuffixClassDisagreesWithTextIsRejected) {
+  // Position 1 follows an A (class 1); position 9 follows the mask (λ).
+  EXPECT_EQ(suffix_error(masked_store(),
+                         {.seq = 0, .pos = 1, .len = 7, .cls = 2}),
+            "suffix class disagrees with the text");
+  EXPECT_EQ(suffix_error(masked_store(),
+                         {.seq = 0, .pos = 9, .len = 8, .cls = 1}),
+            "suffix class disagrees with the text");
+}
+
+TEST(GstReceivedState, SuffixesOutOfCanonicalOrderAreRejected) {
+  const auto store = masked_store();
+  const auto good = gst::enumerate_suffixes(store, 2);
+  ASSERT_GE(good.size(), 3u);
+  auto swapped = good;
+  std::swap(swapped[1], swapped[2]);
+  auto repeated = good;
+  repeated[2] = repeated[1];
+  for (const auto& bad : {swapped, repeated}) {
+    try {
+      gst::check_received_suffixes(store, bad, 2);
+      ADD_FAILURE() << "records out of canonical order accepted";
+    } catch (const WireFormatError& e) {
+      EXPECT_EQ(std::string(e.error().detail),
+                "suffix records out of canonical order");
+    }
+  }
 }
 
 TEST(GstReceivedState, OwnerTableOutsideRanksIsRejected) {

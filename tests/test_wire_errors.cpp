@@ -516,8 +516,8 @@ TEST(WireErrors, DuplicateSeqReportGetsCachedReply) {
       WorkerReport rep = sample_report();
       rep.seq = 41;
       for (int round = 0; round < 2; ++round) {
-        c.send_payload(0, kTagReport, encode_report(rep));
-        const auto raw = c.recv(0, kTagReply);
+        c.send_payload(0, to_tag(MsgKind::kReport), encode_report(rep));
+        const auto raw = c.recv(0, to_tag(MsgKind::kReply));
         auto reply = try_decode_reply(std::span<const std::byte>(raw));
         ASSERT_TRUE(reply.has_value());
         worker_got.push_back(std::move(reply).take_or_throw());
@@ -554,8 +554,8 @@ TEST(WireErrors, RecvReportSurfacesCorruptPayloadAsTypedError) {
       }());
       auto corrupt = bytes;
       corrupt.resize(corrupt.size() - 2);
-      c.send_payload(0, kTagReport, std::move(corrupt));
-      c.send_payload(0, kTagReport, std::move(bytes));
+      c.send_payload(0, to_tag(MsgKind::kReport), std::move(corrupt));
+      c.send_payload(0, to_tag(MsgKind::kReport), std::move(bytes));
       (void)c.recv_value<int>(0, 99);
     }
   });

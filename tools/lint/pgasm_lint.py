@@ -3,12 +3,17 @@
 
 Checks
 ------
-W001  wire-protocol hygiene: every protocol tag in core/cluster_protocol.hpp
-      carries a `pgasm-wire:` annotation naming either `raw-u64` or exactly
-      one encode_X/try_decode_X (or encode_X/decode_X) codec pair; each
-      named pair must be declared in core/wire.hpp, be claimed by exactly
-      one tag, and be exercised by a round-trip test under tests/ (both
-      halves referenced).
+W001  protocol tables <-> sources. Reads the declarative tables in the
+      *protocol*.hpp headers (the same parser as W015). Each kProtocol row
+      whose encoder is encode_X names a codec pair with a [try_]decode_X
+      decoder; the pair must be declared in core/wire.hpp, be claimed by
+      exactly one row, and be exercised by a round-trip test under tests/
+      (both halves referenced). Every encoder, decoder and handler named in
+      kProtocol, kWorkerRecvs, kMasterRecvs and kGstProtocol must appear in
+      the code (not a comment or string) of its protocol sources, and every
+      MasterState/WorkerState enumerator needs its `[MasterState::kX]`
+      marker in core/parallel_cluster.cpp. The checks that read only the
+      tables are static_asserts in the protocol headers.
 W002  raw-comm confinement: vmpi send/recv calls are confined to the
       protocol layers (src/vmpi/ itself, core/cluster_protocol.*,
       gst/parallel_build.cpp). Anywhere else needs an explicit waiver:
@@ -79,12 +84,11 @@ W014  explicit memory orders: every atomic operation in src/ must name its
       ordering story.
 W015  wire-tag table membership: every wire-tag constant (kTag*) declared
       anywhere under src/ must correspond to exactly one row of exactly
-      one declarative protocol table (the k*Protocol MsgSpec arrays in
-      *protocol*.hpp, e.g. kProtocol for clustering tags 101-104 and
-      kGstProtocol for the FT-GST tags 210-216). A tag without a table
-      row is an undocumented message the model checker and
-      protocol_check can't see; a tag with rows in two tables is a
-      colliding reuse.
+      one declarative protocol table (the k*Protocol arrays in
+      *protocol*.hpp, e.g. kGstProtocol for the FT-GST tags 210-216). A
+      tag without a table row is an undocumented message that the table
+      checks and the model checker can't see; a tag with rows in two
+      tables is a colliding reuse.
 
 Front-ends: W007-W010 are semantic checks. When a clang compiler is
 available (and unless --frontend=lexer), facts are extracted from clang's
@@ -208,77 +212,166 @@ def brace_depths(lines: list[str]) -> list[tuple[int, int]]:
 
 
 # --------------------------------------------------------------------------
-# W001: wire tag <-> codec pairing
+# Declarative protocol tables (read by W001 and W015)
 # --------------------------------------------------------------------------
 
-TAG_RE = re.compile(r"inline constexpr int (kTag\w+)\s*=")
-ANNOT_RE = re.compile(r"pgasm-wire:\s*(\S+)")
+TABLE_RE = re.compile(r"inline\s+constexpr\s+(\w+)\s+(k\w+)\s*\[\]\s*=")
+STRUCT_RE = re.compile(r"\bstruct\s+(\w+)\s*\{([^{}]*)\};")
+FIELD_RE = re.compile(r"(\w+)\s*(?:=[^;]*)?;")
+INIT_TOKEN_RE = re.compile(r'"(?:[^"\\\n]|\\.)*"|[{},;]|[^{},;"\s]+')
+
+
+def protocol_tables() -> dict[str, list[tuple[Path, int, dict[str, str]]]]:
+    """Table name -> [(file, line, row)] for every `inline constexpr Spec
+    kName[] = {...}` array in a *protocol*.hpp under src/ whose row struct
+    Spec is declared in one of those headers. A row maps each struct field
+    to its cell: the text of a string cell (adjacent literals joined), or
+    the initializer itself (e.g. "MsgKind::kPing")."""
+    texts = {path: re.sub(r"//[^\n]*", "",
+                          path.read_text(encoding="utf-8", errors="replace"))
+             for path in sorted(SRC.rglob("*protocol*.hpp"))}
+    fields = {m.group(1): FIELD_RE.findall(m.group(2))
+              for text in texts.values() for m in STRUCT_RE.finditer(text)}
+    tables: dict[str, list[tuple[Path, int, dict[str, str]]]] = {}
+    for path, text in texts.items():
+        for m in TABLE_RE.finditer(text):
+            names = fields.get(m.group(1))
+            if names is None:
+                continue
+            rows = tables.setdefault(m.group(2), [])
+            depth, cells, cell, row_at = 0, [], [], 0
+            for tok in INIT_TOKEN_RE.finditer(text, m.end()):
+                t = tok.group()
+                if t == ";" and depth == 0:
+                    break
+                if t == "{":
+                    depth += 1
+                    if depth == 2:
+                        cells, cell, row_at = [], [], tok.start()
+                elif t in ",}" and depth == 2:
+                    strings = all(c.startswith('"') for c in cell)
+                    cells.append("".join(c[1:-1] for c in cell) if strings
+                                 else " ".join(cell))
+                    cell = []
+                    if t == "}":
+                        depth -= 1
+                        rows.append((path, text.count("\n", 0, row_at) + 1,
+                                     dict(zip(names, cells))))
+                elif t == "}":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                elif depth == 2:
+                    cell.append(t)
+    return tables
+
+
+def row_label(table: str, row: dict[str, str]) -> str:
+    """kProtocol[MsgKind::kPing], kWorkerRecvs[WorkerState::kAlign/...]."""
+    keys = "/".join(row[k] for k in ("state", "kind") if k in row)
+    return f"{table}[{keys}]"
+
+
+def code_only(text: str) -> str:
+    """Source text with comments and string/char literals blanked, so a
+    name that only a comment or a table cell mentions does not count."""
+    return re.sub(r"//[^\n]*|/\*.*?\*/|\"(?:[^\"\\\n]|\\.)*\"|"
+                  r"'(?:[^'\\\n]|\\.)*'", " ", text, flags=re.S)
+
+
+# --------------------------------------------------------------------------
+# W001: protocol tables <-> codecs, handlers and state markers
+# --------------------------------------------------------------------------
+
+CLUSTER_SOURCES = ("core/wire.hpp", "core/cluster_protocol.hpp",
+                   "core/cluster_protocol.cpp", "vmpi/runtime.hpp")
+GST_SOURCES = ("gst/gst_protocol.hpp", "gst/parallel_build.cpp",
+               "vmpi/runtime.hpp")
+# Table -> (the sources its identifiers must exist in, the cells naming them).
+IDENT_CELLS = {
+    "kProtocol": (CLUSTER_SOURCES, ("encoder", "decoder", "handler")),
+    "kWorkerRecvs": (CLUSTER_SOURCES, ("handler",)),
+    "kMasterRecvs": (CLUSTER_SOURCES, ("handler",)),
+    "kGstProtocol": (GST_SOURCES, ("encoder", "decoder", "handler")),
+}
+# State enums whose every enumerator needs a `[Enum::kX]` marker in the pump.
+MARKED_STATES = ("MasterState", "WorkerState")
+
+
+def read_src(rels: tuple[str, ...]) -> str:
+    return "\n".join((SRC / r).read_text(encoding="utf-8", errors="replace")
+                     for r in rels if (SRC / r).exists())
 
 
 def check_w001() -> None:
     proto = SRC / "core" / "cluster_protocol.hpp"
-    wire = SRC / "core" / "wire.hpp"
     if not proto.exists():
         finding(proto, 1, "W001", "wire", "core/cluster_protocol.hpp missing")
         return
-    lines = read_lines(proto)
-
-    # Collect tag -> annotation. The annotation sits on the tag's line or on
-    # the continuation comment line directly below it.
-    tags: dict[str, tuple[int, str | None]] = {}
-    for i, line in enumerate(lines):
-        m = TAG_RE.search(line)
-        if not m:
-            continue
-        annot = ANNOT_RE.search(line)
-        if not annot and i + 1 < len(lines) and lines[i + 1].lstrip().startswith("//"):
-            annot = ANNOT_RE.search(lines[i + 1])
-        tags[m.group(1)] = (i + 1, annot.group(1) if annot else None)
-
-    if not tags:
-        finding(proto, 1, "W001", "wire", "no protocol tags found (kTag*)")
+    tables = protocol_tables()
+    if not tables.get("kProtocol"):
+        finding(proto, 1, "W001", "wire", "no kProtocol table rows found")
         return
 
-    wire_text = (wire.read_text(encoding="utf-8")
-                 if wire.exists() else "")
+    # Codec pairs: a row whose encoder is encode_X names a wire.hpp codec;
+    # any other encoder is a vmpi send form (send_value, send_vector).
+    wire_text = read_src(("core/wire.hpp",))
     test_text = "\n".join(
         p.read_text(encoding="utf-8", errors="replace")
         for p in sorted(TESTS.rglob("*.cpp")))
-
-    claimed: dict[str, str] = {}  # codec pair -> tag
-    for tag, (line_no, annot) in sorted(tags.items()):
-        if annot is None:
-            finding(proto, line_no, "W001", "wire",
-                    f"{tag} has no `pgasm-wire:` annotation "
-                    "(name its codec pair or raw-u64)")
+    claimed: dict[str, str] = {}  # codec pair -> row
+    for path, line_no, row in tables["kProtocol"]:
+        label = row_label("kProtocol", row)
+        enc, dec = row.get("encoder", ""), row.get("decoder", "")
+        if not enc.startswith("encode_"):
             continue
-        if annot == "raw-u64":
+        pair = f"{enc}/{dec}"
+        if not re.fullmatch(r"(?:try_)?decode_\w+", dec):
+            finding(path, line_no, "W001", "wire",
+                    f"{label} pairs {enc} with {dec!r}, which is not a "
+                    "[try_]decode_X codec")
             continue
-        m = re.fullmatch(r"(encode_\w+)/((?:try_)?decode_\w+)", annot)
-        if not m:
-            finding(proto, line_no, "W001", "wire",
-                    f"{tag} annotation {annot!r} is neither raw-u64 nor "
-                    "encode_X/[try_]decode_X")
-            continue
-        enc, dec = m.group(1), m.group(2)
-        if annot in claimed:
-            finding(proto, line_no, "W001", "wire",
-                    f"{tag} claims codec pair {annot} already claimed by "
-                    f"{claimed[annot]}")
-        claimed[annot] = tag
+        if pair in claimed:
+            finding(path, line_no, "W001", "wire",
+                    f"{label} claims codec pair {pair} already claimed by "
+                    f"{claimed[pair]}")
+        claimed[pair] = label
         for fn in (enc, dec):
             if not re.search(rf"\b{fn}\s*\(", wire_text):
-                finding(proto, line_no, "W001", "wire",
-                        f"{tag} names {fn} but core/wire.hpp declares no "
+                finding(path, line_no, "W001", "wire",
+                        f"{label} names {fn} but core/wire.hpp declares no "
                         "such codec")
-        # Round-trip coverage: both halves (or the try_ decode variant)
-        # must appear in a test.
-        has_enc = re.search(rf"\b{enc}\s*\(", test_text)
-        has_dec = re.search(rf"\b(try_)?{dec}\s*\(", test_text)
-        if not (has_enc and has_dec):
-            finding(proto, line_no, "W001", "wire",
-                    f"{tag} codec pair {annot} lacks a round-trip test "
+        # Round-trip coverage: both halves must appear in a test.
+        if not (re.search(rf"\b{enc}\s*\(", test_text)
+                and re.search(rf"\b{dec}\s*\(", test_text)):
+            finding(path, line_no, "W001", "wire",
+                    f"{label} codec pair {pair} lacks a round-trip test "
                     "under tests/ (both halves must be exercised)")
+
+    # Every encoder, decoder and handler a table names exists in code.
+    for table, (sources, cells) in IDENT_CELLS.items():
+        code = code_only(read_src(sources))
+        for path, line_no, row in tables.get(table, []):
+            for cell in cells:
+                ident = row.get(cell, "")
+                name = ident.rsplit("::", 1)[-1]  # ReplyChannel::send -> send
+                if name and not re.search(rf"\b{re.escape(name)}\b", code):
+                    finding(path, line_no, "W001", "wire",
+                            f"{row_label(table, row)}.{cell} names {ident!r}, "
+                            "which no protocol source declares or calls")
+
+    # Every declared pump state has its marker in the implementation.
+    impl = SRC / "core" / "parallel_cluster.cpp"
+    impl_text = read_src(("core/parallel_cluster.cpp",))
+    enums = protocol_enums()
+    for enum in MARKED_STATES:
+        for member in enums.get(enum, (proto, []))[1]:
+            marker = f"[{enum}::{member}]"
+            if marker not in impl_text:
+                finding(impl, 1, "W001", "wire",
+                        f"core/parallel_cluster.cpp has no `// {marker}` "
+                        f"marker: the pump no longer maps onto the declared "
+                        f"{enum} machine")
 
 
 # --------------------------------------------------------------------------
@@ -1021,62 +1114,35 @@ def check_w014() -> None:
 # W015: wire-tag <-> protocol-table membership
 # --------------------------------------------------------------------------
 
-# W001 checks that the clustering tags carry codec annotations; W015 checks
-# the structural half for EVERY tag in src/: each kTagX must be represented
-# by exactly one row (kind kX) of exactly one k*Protocol table, so the
-# model checker, protocol_check and the docs all see the same message set.
+# Each kTagX in src/ must be represented by exactly one row (kind kX) of
+# exactly one k*Protocol table, so the table checks, pgasm-model and the
+# docs all see the same message set.
 
 W015_TAG_RE = re.compile(r"(?:inline\s+)?constexpr int (kTag(\w+))\s*=")
-W015_TABLE_RE = re.compile(r"\b(k\w*Protocol)\s*\[\]")
-W015_KIND_RE = re.compile(r"\b\w*MsgKind::k(\w+)\b")
-
-
-def protocol_table_rows() -> dict[str, dict[str, int]]:
-    """Table name -> {kind suffix -> row count} for every k*Protocol array
-    declared in a *protocol*.hpp under src/."""
-    tables: dict[str, dict[str, int]] = {}
-    for path in sorted(SRC.rglob("*protocol*.hpp")):
-        text = path.read_text(encoding="utf-8", errors="replace")
-        text = re.sub(r"//[^\n]*", "", text)
-        for m in W015_TABLE_RE.finditer(text):
-            # Body = the brace-balanced initializer after the '='.
-            start = text.find("{", m.end())
-            if start < 0:
-                continue
-            depth = 0
-            end = start
-            for pos in range(start, len(text)):
-                if text[pos] == "{":
-                    depth += 1
-                elif text[pos] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        end = pos
-                        break
-            body = text[start:end + 1]
-            rows = tables.setdefault(m.group(1), {})
-            for km in W015_KIND_RE.finditer(body):
-                rows[km.group(1)] = rows.get(km.group(1), 0) + 1
-    return tables
 
 
 def check_w015() -> None:
-    tables = protocol_table_rows()
+    rows: dict[str, dict[str, int]] = {}  # kind suffix -> {table: rows}
+    for table, entries in protocol_tables().items():
+        if not table.endswith("Protocol"):
+            continue
+        for _, _, row in entries:
+            suffix = re.sub(r"^.*::k", "", row.get("kind", ""))
+            homes = rows.setdefault(suffix, {})
+            homes[table] = homes.get(table, 0) + 1
     for path in src_files(".cpp", ".hpp"):
         lines = read_lines(path)
         for i, raw in enumerate(lines):
             m = W015_TAG_RE.search(strip_comments(raw))
             if not m:
                 continue
-            tag, suffix = m.group(1), m.group(2)
-            homes = [(t, n) for t, rows in sorted(tables.items())
-                     if (n := rows.get(suffix, 0))]
+            tag, homes = m.group(1), sorted(rows.get(m.group(2), {}).items())
             if not homes:
                 finding(path, i + 1, "W015", "tag-table",
                         f"wire tag {tag} has no row in any declarative "
                         "protocol table (k*Protocol in a *protocol*.hpp) — "
-                        "an undocumented message kind that the model "
-                        "checker and protocol_check cannot see")
+                        "an undocumented message kind that the table "
+                        "checks and the model checker cannot see")
             elif len(homes) > 1 or homes[0][1] != 1:
                 where = ", ".join(f"{t} x{n}" for t, n in homes)
                 finding(path, i + 1, "W015", "tag-table",
