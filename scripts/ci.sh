@@ -9,8 +9,8 @@
 #                            # full-pipeline fault schedules must converge
 #                            # to bit-identical contigs
 #   scripts/ci.sh tsan       # just the TSan build of the concurrent layers
-#   scripts/ci.sh asan       # just the ASan build of the align, core and
-#                            # byte-codec suites
+#   scripts/ci.sh asan       # just the ASan build of the align, core, GST
+#                            # and byte-codec suites
 #   scripts/ci.sh lint       # pgasm-lint + strict-warnings build (+ clang
 #                            # tools when installed)
 #   scripts/ci.sh determ     # pgasm-determcheck static determinism analysis
@@ -90,17 +90,18 @@ tsan() {
 }
 
 asan() {
-  echo "== ASan: alignment hot path, cluster engine and byte codec tests =="
+  echo "== ASan: alignment hot path, cluster engine, GST and byte codec tests =="
   # The overlap workspace hands out grow-only dirty buffers and the banded
-  # kernel runs a guard-free inner loop; the decoders read peer and disk
-  # bytes through util::Cursor. ASan is the check that every read and
-  # write stays inside the live extents.
+  # kernel runs a guard-free inner loop; the GST build extends unary edges
+  # by reading the fragment text eight codes at a time; the decoders read
+  # peer and disk bytes through util::Cursor. ASan is the check that every
+  # read and write stays inside the live extents.
   cmake -B build-asan -S . -DPGASM_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
     --target test_align test_workspace test_cluster test_wire_errors \
-    test_parallel_gst
+    test_parallel_gst test_gst
   (cd build-asan && ctest --output-on-failure \
-    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|LinearSpace|Cluster|WireErrors|ParallelGst|GstFetchCodec|GstReceivedState')
+    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|LinearSpace|Cluster|WireErrors|ParallelGst|GstFetchCodec|GstReceivedState|SuffixTree|PairGen|PairStreamPin|SuffixEnumeration')
 }
 
 lint() {

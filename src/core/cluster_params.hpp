@@ -111,6 +111,10 @@ struct ClusterStats {
   std::uint64_t merges_rejected_inconsistent = 0;
 
   double gst_seconds = 0;      ///< wall time of the GST phase
+  /// Size of the serial build's GST (SuffixTree::num_nodes, memory_bytes);
+  /// parallel builds publish per-rank gst.tree_* counters instead.
+  std::uint64_t gst_tree_nodes = 0;
+  std::uint64_t gst_tree_bytes = 0;
   double cluster_seconds = 0;  ///< wall time of pair processing
   /// Modeled parallel times (vmpi cost model); 0 for serial runs.
   double gst_modeled_seconds = 0;

@@ -221,6 +221,34 @@ void master_loop(vmpi::Comm& comm, const ClusterParams& params,
   }
 }
 
+/// GST nodes a worker's pair generation may enter between two heartbeat
+/// polls. Pairs can be sparse (many nodes emit none), so pacing by pairs
+/// alone would let one report's generation outlast the master's probe
+/// timeout.
+constexpr std::size_t kGenerateNodeBudget = 1024;
+
+/// Splits a worker's pair generation into steps of at most
+/// kGenerateNodeBudget GST nodes, across generator calls and roles: each
+/// call gets what is left of the current step, and step_over() tells the
+/// caller to poll heartbeats and starts the next step.
+class GeneratePacer {
+ public:
+  bool next(gst::PairGenerator& gen, gst::PromisingPair& q) {
+    const std::uint64_t before = gen.nodes_entered();
+    const bool got = gen.next(q, left_);
+    left_ -= static_cast<std::size_t>(gen.nodes_entered() - before);
+    return got;
+  }
+  bool step_over() noexcept {
+    if (left_ > 0) return false;
+    left_ = kGenerateNodeBudget;
+    return true;
+  }
+
+ private:
+  std::size_t left_ = kGenerateNodeBudget;
+};
+
 /// One pair-generation role held by a worker: its own GST portion, or a
 /// dead rank's portion rebuilt locally after a takeover order.
 struct RoleGen {
@@ -241,6 +269,7 @@ void worker_loop(vmpi::Comm& comm, const ClusterParams& params,
                  const ClusterCheckpoint* resume) {
   std::vector<RoleGen> gens;
   OverlapEngine engine(doubled, params.overlap, comm.rank());
+  GeneratePacer pacer;
 
   auto add_role = [&](int role, std::uint64_t resume_at,
                       std::unique_ptr<gst::DistributedGst> owned) {
@@ -256,12 +285,16 @@ void worker_loop(vmpi::Comm& comm, const ClusterParams& params,
                              .doubled_input = true,
                              .global_ids = &rg.dist->local_to_global});
       // Fast-forward: the stream is deterministic, so skipping resume_at
-      // pairs resumes exactly where the previous owner stopped.
+      // pairs resumes exactly where the previous owner stopped. Polls come
+      // every kGenerateNodeBudget nodes when pairs are sparse and every
+      // 4096 pairs when they are dense.
       gst::PromisingPair q;
       std::uint64_t done = 0;
-      while (done < resume_at && rg.gen->next(q)) {
-        ++done;
-        if ((done & 0xFFFu) == 0) poll_heartbeats(comm);
+      while (done < resume_at && !rg.gen->done()) {
+        const bool got = pacer.next(*rg.gen, q);
+        if (got) ++done;
+        if (pacer.step_over() || (got && (done & 0xFFFu) == 0))
+          poll_heartbeats(comm);
       }
     }
     gens.push_back(std::move(rg));
@@ -282,11 +315,17 @@ void worker_loop(vmpi::Comm& comm, const ClusterParams& params,
     if (!my_done) add_role(comm.rank(), my_resume, nullptr);
   }
 
+  // One paced call on the first unfinished role (roles drain in the order
+  // they were adopted). False: no pair yet, or every role is exhausted.
   auto next_pair = [&](gst::PromisingPair& q) -> bool {
     for (RoleGen& rg : gens) {
-      if (rg.gen->next(q)) return true;
+      if (!rg.gen->done()) return pacer.next(*rg.gen, q);
     }
     return false;
+  };
+  auto roles_done = [&] {
+    return std::all_of(gens.begin(), gens.end(),
+                       [](const RoleGen& rg) { return rg.gen->done(); });
   };
 
   std::vector<PairMsg> batch;      // AW: allocated by master last reply
@@ -313,20 +352,23 @@ void worker_loop(vmpi::Comm& comm, const ClusterParams& params,
       auto scope = comm.compute_scope();
       gst::PromisingPair q;
       const std::uint32_t want = std::min(r, params.new_pairs_buf);
-      while (report.new_pairs.size() < want && next_pair(q)) {
-        // The generator already emits global doubled-store ids in
-        // canonical orientation (global_ids translation).
-        report.new_pairs.push_back(
-            PairMsg{q.seq_a, q.pos_a, q.seq_b, q.pos_b, q.match_len});
+      while (report.new_pairs.size() < want) {
+        if (next_pair(q)) {
+          // The generator already emits global doubled-store ids in
+          // canonical orientation (global_ids translation).
+          report.new_pairs.push_back(
+              PairMsg{q.seq_a, q.pos_a, q.seq_b, q.pos_b, q.match_len});
+        } else if (roles_done()) {
+          break;
+        }
+        if (pacer.step_over()) poll_heartbeats(comm);
       }
-      bool all_done = true;
       for (const RoleGen& rg : gens) {
         report.progress.push_back(
             RoleProgress{static_cast<std::uint32_t>(rg.role),
                          rg.gen->done() ? 1u : 0u, rg.gen->pairs_emitted()});
-        if (!rg.gen->done()) all_done = false;
       }
-      report.exhausted = all_done ? 1 : 0;
+      report.exhausted = roles_done() ? 1 : 0;
       gen_span.arg("pairs", report.new_pairs.size());
     }
     // [WorkerState::kSendReport]

@@ -28,6 +28,8 @@ ClusterResult cluster_serial(const seq::FragmentStore& fragments,
   gst::SuffixTree tree(
       doubled, gst::GstParams{.min_match = params.psi, .prefix_w = 0});
   stats.gst_seconds = gst_timer.elapsed();
+  stats.gst_tree_nodes = tree.num_nodes();
+  stats.gst_tree_bytes = tree.memory_bytes();
 
   util::WallTimer cluster_timer;
   gst::PairGenerator gen(

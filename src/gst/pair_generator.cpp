@@ -36,7 +36,7 @@ constexpr std::size_t kNumInternalCombos = std::size(kInternalCombos);
 PairGenerator::PairGenerator(const SuffixTree& tree, PairGenParams params)
     : tree_(&tree),
       params_(params),
-      order_(tree.nodes_by_depth_desc(tree.params().min_match)),
+      order_(tree.nodes_by_depth_desc()),
       arena_(tree.num_suffixes()),
       lset_ref_(tree.num_nodes(), kNilNode),
       seen_(tree.store().size(), 0) {}
@@ -100,10 +100,9 @@ void PairGenerator::dedup_children() {
 }
 
 void PairGenerator::finish_node(std::uint32_t u) {
-  const Node& nd = tree_->node(u);
-  const bool parent_needs =
-      nd.parent != kNilNode &&
-      tree_->node(nd.parent).depth >= tree_->params().min_match;
+  // Every materialized node is at least ψ deep, so a parent always
+  // generates from its children's lsets.
+  const bool parent_needs = tree_->node(u).parent != kNilNode;
   if (leaf_) {
     if (parent_needs) {
       lset_ref_[u] = leaf_ref_;
@@ -243,13 +242,17 @@ bool PairGenerator::emit(std::uint32_t sfx_a, std::uint32_t sfx_b,
   return true;
 }
 
-bool PairGenerator::next(PromisingPair& out) {
+bool PairGenerator::next(PromisingPair& out, std::size_t node_budget) {
+  std::size_t entered = 0;
   while (!done_) {
     if (!in_node_) {
       if (oi_ >= order_.size()) {
         done_ = true;
         return false;
       }
+      if (entered == node_budget) return false;  // not done: call again
+      ++entered;
+      ++nodes_entered_;
       enter_node(order_[oi_++]);
       in_node_ = true;
     }

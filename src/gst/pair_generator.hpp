@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "gst/lset.hpp"
@@ -62,8 +63,14 @@ class PairGenerator {
  public:
   PairGenerator(const SuffixTree& tree, PairGenParams params = {});
 
-  /// Produce the next pair. Returns false when exhausted.
-  bool next(PromisingPair& out);
+  /// Produce the next pair. Returns false when exhausted, or, with a
+  /// node budget, once the call has entered `node_budget` GST nodes without
+  /// finding a pair; done() tells the two apart. Bounding the nodes one call
+  /// enters bounds its time, so a caller that must stay responsive (a
+  /// worker answering heartbeats) can poll between calls; the pairs, and
+  /// their order, do not depend on the budget.
+  bool next(PromisingPair& out,
+            std::size_t node_budget = std::numeric_limits<std::size_t>::max());
 
   /// Fill up to `max` pairs into out (appended); returns how many.
   std::size_t fill(std::vector<PromisingPair>& out, std::size_t max);
@@ -71,6 +78,7 @@ class PairGenerator {
   bool done() const noexcept { return done_; }
 
   std::uint64_t pairs_emitted() const noexcept { return emitted_; }
+  std::uint64_t nodes_entered() const noexcept { return nodes_entered_; }
   std::uint64_t pairs_filtered_self() const noexcept { return filtered_self_; }
   std::uint64_t pairs_filtered_mirror() const noexcept {
     return filtered_mirror_;
@@ -116,6 +124,7 @@ class PairGenerator {
   std::vector<std::uint8_t> seen_;  // dedup bitmap over sequence ids
 
   std::uint64_t emitted_ = 0;
+  std::uint64_t nodes_entered_ = 0;
   std::uint64_t filtered_self_ = 0;
   std::uint64_t filtered_mirror_ = 0;
 };

@@ -96,6 +96,7 @@ void group_and_build(DistributedGst& result,
   result.tree = std::make_unique<SuffixTree>(
       result.local_store, std::move(grouped), bucket_begin, w, params.gst);
   result.stats.tree_nodes = result.tree->num_nodes();
+  result.stats.tree_bytes = result.tree->memory_bytes();
 }
 
 /// What rank `src` would send rank `dest` in the suffix redistribution:
@@ -130,6 +131,7 @@ void publish_gst_obs(int rank, const GstBuildStats& stats) {
       .inc(stats.fetched_fragments);
   reg.counter("gst.fetch_rounds", rank, phase).inc(stats.fetch_rounds);
   reg.counter("gst.tree_nodes", rank, phase).inc(stats.tree_nodes);
+  reg.counter("gst.tree_bytes", rank, phase).inc(stats.tree_bytes);
   reg.counter("gst.bytes_sent", rank, phase).inc(stats.bytes_sent);
   reg.gauge("gst.compute_seconds", rank, phase).add(stats.compute_seconds);
   reg.gauge("gst.comm_seconds", rank, phase).add(stats.comm_seconds);

@@ -70,6 +70,7 @@ struct GstBuildStats {
   double comm_seconds = 0;                ///< modeled comm charge (ledger Δ)
   std::uint64_t bytes_sent = 0;           ///< ledger Δ
   std::uint64_t tree_nodes = 0;
+  std::uint64_t tree_bytes = 0;           ///< SuffixTree::memory_bytes
   // Fault-tolerant path recovery counters.
   std::uint64_t ranks_recovered = 0;    ///< peers whose input was recomputed
   std::uint64_t buckets_reassigned = 0; ///< buckets moved off dead ranks

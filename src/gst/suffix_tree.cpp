@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 
@@ -37,86 +39,100 @@ SuffixTree::SuffixTree(const seq::FragmentStore& store,
   scratch_.shrink_to_fit();
 }
 
+namespace {
+
+/// Number of characters suffixes a and b share past `depth`, at most `cap`
+/// (the caller keeps cap within both effective lengths, so every read stays
+/// inside unmasked text). Compares eight codes per step.
+std::uint32_t common_extension(const seq::FragmentStore& store,
+                               const Suffix& a, const Suffix& b,
+                               std::uint32_t depth, std::uint32_t cap) {
+  const seq::Code* pa = store.seq(a.seq).data() + a.pos + depth;
+  const seq::Code* pb = store.seq(b.seq).data() + b.pos + depth;
+  std::uint32_t k = 0;
+  for (; k + 8 <= cap; k += 8) {
+    std::uint64_t x, y;
+    std::memcpy(&x, pa + k, 8);
+    std::memcpy(&y, pb + k, 8);
+    if (x != y) {
+      const std::uint64_t diff = x ^ y;
+      const int bit = std::endian::native == std::endian::little
+                          ? std::countr_zero(diff)
+                          : std::countl_zero(diff);
+      return k + static_cast<std::uint32_t>(bit / 8);
+    }
+  }
+  while (k < cap && pa[k] == pb[k]) ++k;
+  return k;
+}
+
+}  // namespace
+
+std::uint32_t SuffixTree::add_node(std::uint32_t parent, std::uint32_t depth,
+                                   std::uint32_t suffix_begin,
+                                   std::uint32_t suffix_end) {
+  const auto id = static_cast<std::uint32_t>(nodes_.size());
+  Node nd;
+  nd.parent = parent;
+  nd.depth = depth;
+  nd.suffix_begin = suffix_begin;
+  nd.suffix_end = suffix_end;
+  if (parent != kNilNode) {
+    nd.next_sibling = nodes_[parent].first_child;
+    nodes_[parent].first_child = id;
+  }
+  nodes_.push_back(nd);
+  if (suffix_begin < suffix_end) ++num_leaves_;
+  return id;
+}
+
 void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
                              std::uint32_t depth, std::uint32_t parent) {
   const auto& store = *store_;
 
-  // Extend depth while the range does not branch (path compression).
+  if (end - begin == 1) {
+    // A lone suffix shares with the rest of the bucket only the label of the
+    // branching point that split it off. Below ψ (no materialized parent)
+    // it can never pair; otherwise it is a leaf over its full length.
+    if (parent != kNilNode)
+      add_node(parent, suffixes_[begin].len, begin, end);
+    return;
+  }
+
+  // Path compression: the edge runs to the first depth at which some
+  // suffix ends or differs from the first one.
+  const Suffix& first = suffixes_[begin];
+  std::uint32_t ext = first.len - depth;
+  for (std::uint32_t i = begin + 1; i < end && ext > 0; ++i) {
+    const Suffix& s = suffixes_[i];
+    ext = common_extension(store, first, s, depth,
+                           std::min(ext, s.len - depth));
+  }
+  depth += ext;
+
   std::array<std::uint32_t, seq::kSigma> base_count{};
   std::uint32_t ended = 0;
-  for (;;) {
-    if (end - begin == 1) {
-      // Single suffix: leaf spanning its full effective length.
-      const std::uint32_t id = static_cast<std::uint32_t>(nodes_.size());
-      Node leaf;
-      leaf.parent = parent;
-      leaf.depth = suffixes_[begin].len;
-      leaf.suffix_begin = begin;
-      leaf.suffix_end = end;
-      if (parent != kNilNode) {
-        leaf.next_sibling = nodes_[parent].first_child;
-        nodes_[parent].first_child = id;
-      }
-      nodes_.push_back(leaf);
-      ++num_leaves_;
-      return;
+  for (std::uint32_t i = begin; i < end; ++i) {
+    const Suffix& s = suffixes_[i];
+    if (s.len == depth) {
+      ++ended;
+    } else {
+      ++base_count[store.seq(s.seq)[s.pos + depth]];
     }
-
-    base_count.fill(0);
-    ended = 0;
-    for (std::uint32_t i = begin; i < end; ++i) {
-      const Suffix& s = suffixes_[i];
-      if (s.len == depth) {
-        ++ended;
-      } else {
-        ++base_count[store.seq(s.seq)[s.pos + depth]];
-      }
-    }
-    if (ended == end - begin) {
-      // All suffixes are identical strings of length `depth`: one leaf.
-      const std::uint32_t id = static_cast<std::uint32_t>(nodes_.size());
-      Node leaf;
-      leaf.parent = parent;
-      leaf.depth = depth;
-      leaf.suffix_begin = begin;
-      leaf.suffix_end = end;
-      if (parent != kNilNode) {
-        leaf.next_sibling = nodes_[parent].first_child;
-        nodes_[parent].first_child = id;
-      }
-      nodes_.push_back(leaf);
-      ++num_leaves_;
-      return;
-    }
-    if (ended == 0) {
-      int nonempty = 0, which = -1;
-      for (int c = 0; c < seq::kSigma; ++c) {
-        if (base_count[c] > 0) {
-          ++nonempty;
-          which = c;
-        }
-      }
-      if (nonempty == 1) {
-        (void)which;
-        ++depth;  // no branching here; extend the implicit edge
-        continue;
-      }
-    }
-    break;  // branching point at `depth`
+  }
+  if (ended == end - begin) {
+    // All suffixes are identical strings of length `depth` (>= ψ, the
+    // enumeration floor): one leaf, which pairs them with each other.
+    add_node(parent, depth, begin, end);
+    return;
   }
 
-  // Create the internal node for the branching point.
-  const std::uint32_t u = static_cast<std::uint32_t>(nodes_.size());
-  {
-    Node inner;
-    inner.parent = parent;
-    inner.depth = depth;
-    if (parent != kNilNode) {
-      inner.next_sibling = nodes_[parent].first_child;
-      nodes_[parent].first_child = u;
-    }
-    nodes_.push_back(inner);
-  }
+  // Branching point at `depth`. Below ψ it carries no pair and gets no
+  // node (no suffix can end there either, since every suffix is at least
+  // ψ long): its groups become roots.
+  const std::uint32_t u = depth < params_.min_match
+                              ? kNilNode
+                              : add_node(parent, depth, 0, 0);
 
   // Stable partition of [begin, end): ended first, then A, C, G, T.
   std::array<std::uint32_t, seq::kSigma + 1> group_begin{};
@@ -135,18 +151,7 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
   }
 
   // Ended group -> one leaf child at the same string-depth ("$" edge).
-  if (ended > 0) {
-    const std::uint32_t id = static_cast<std::uint32_t>(nodes_.size());
-    Node leaf;
-    leaf.parent = u;
-    leaf.depth = depth;
-    leaf.suffix_begin = begin;
-    leaf.suffix_end = begin + ended;
-    leaf.next_sibling = nodes_[u].first_child;
-    nodes_[u].first_child = id;
-    nodes_.push_back(leaf);
-    ++num_leaves_;
-  }
+  if (ended > 0) add_node(u, depth, begin, begin + ended);
   // Base-character groups -> recurse (they share depth+1 characters).
   for (int c = 0; c < seq::kSigma; ++c) {
     const std::uint32_t gb = group_begin[c + 1];
@@ -155,26 +160,18 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
   }
 }
 
-std::vector<std::uint32_t> SuffixTree::nodes_by_depth_desc(
-    std::uint32_t min_depth) const {
+std::vector<std::uint32_t> SuffixTree::nodes_by_depth_desc() const {
   // Counting sort by depth ascending (stable in id), then reverse: yields
   // depth descending with id descending inside equal depths, which puts
   // children (always created after, so larger id) before their parents.
   std::uint32_t max_depth = 0;
   for (const Node& nd : nodes_) max_depth = std::max(max_depth, nd.depth);
   std::vector<std::uint32_t> count(max_depth + 2, 0);
-  std::uint32_t kept = 0;
-  for (const Node& nd : nodes_) {
-    if (nd.depth >= min_depth) {
-      ++count[nd.depth + 1];
-      ++kept;
-    }
-  }
+  for (const Node& nd : nodes_) ++count[nd.depth + 1];
   for (std::size_t d = 1; d < count.size(); ++d) count[d] += count[d - 1];
-  std::vector<std::uint32_t> out(kept);
-  for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
-    if (nodes_[id].depth >= min_depth) out[count[nodes_[id].depth]++] = id;
-  }
+  std::vector<std::uint32_t> out(nodes_.size());
+  for (std::uint32_t id = 0; id < nodes_.size(); ++id)
+    out[count[nodes_[id].depth]++] = id;
   std::reverse(out.begin(), out.end());
   return out;
 }
@@ -188,7 +185,18 @@ std::string SuffixTree::check_invariants() const {
   const auto& store = *store_;
   const std::size_t nsuf = suffixes_.size();
 
-  // 1. Leaves partition the suffix array.
+  const std::uint32_t psi = params_.min_match;
+
+  // 1. Nothing shallower than ψ is materialized.
+  for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
+    if (nodes_[id].depth < psi) {
+      err << "node " << id << " at depth " << nodes_[id].depth
+          << " is shallower than psi " << psi;
+      return err.str();
+    }
+  }
+
+  // 2. Leaves hold disjoint suffix ranges of identical strings.
   std::vector<std::uint8_t> covered(nsuf, 0);
   for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
     const Node& nd = nodes_[id];
@@ -223,14 +231,42 @@ std::string SuffixTree::check_invariants() const {
       }
     }
   }
-  for (std::size_t i = 0; i < nsuf; ++i) {
-    if (!covered[i]) {
-      err << "suffix index " << i << " not covered by any leaf";
-      return err.str();
+
+  // 3. A suffix is in a leaf iff another suffix shares its first ψ
+  // characters: sort by ψ-prefix and compare each run's size with coverage.
+  {
+    auto prefix = [&](std::uint32_t i) {
+      const Suffix& s = suffixes_[i];
+      return store.seq(s.seq).subspan(s.pos, std::min(s.len, psi));
+    };
+    std::vector<std::uint32_t> by_prefix(nsuf);
+    std::iota(by_prefix.begin(), by_prefix.end(), 0u);
+    std::sort(by_prefix.begin(), by_prefix.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                const auto pa = prefix(a), pb = prefix(b);
+                return std::lexicographical_compare(pa.begin(), pa.end(),
+                                                    pb.begin(), pb.end());
+              });
+    for (std::size_t lo = 0; lo < nsuf;) {
+      std::size_t hi = lo + 1;
+      while (hi < nsuf && std::ranges::equal(prefix(by_prefix[lo]),
+                                             prefix(by_prefix[hi])))
+        ++hi;
+      const bool shared = hi - lo > 1;
+      for (std::size_t k = lo; k < hi; ++k) {
+        if (covered[by_prefix[k]] != (shared ? 1 : 0)) {
+          err << "suffix index " << by_prefix[k]
+              << (shared ? " shares its psi-prefix but is in no leaf"
+                         : " shares its psi-prefix with no suffix but is in "
+                           "a leaf");
+          return err.str();
+        }
+      }
+      lo = hi;
     }
   }
 
-  // 2. Parent/child structure and depths; branch character distinctness.
+  // 4. Parent/child structure and depths; branch character distinctness.
   for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
     const Node& nd = nodes_[id];
     if (nd.is_leaf()) continue;
@@ -291,7 +327,7 @@ std::string SuffixTree::check_invariants() const {
     }
   }
 
-  // 3. Prefix property: every suffix under a node shares its path label.
+  // 5. Prefix property: every suffix under a node shares its path label.
   // Verified transitively: each leaf's suffixes are identical (checked
   // above) and each child-representative agrees with the parent's label up
   // to parent depth by construction of branching; do a direct spot check

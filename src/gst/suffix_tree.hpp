@@ -3,14 +3,25 @@
 // Construction follows the paper (Section 6): suffixes are grouped into
 // buckets by their w-length prefix, and each bucket's compacted trie is
 // built depth-first by recursively partitioning suffixes on the character
-// at the current depth. Since the minimum maximal-match length ψ is >= w,
-// the top of the GST (depth < w) is never materialized. The same code path
-// serves the serial build (one implicit bucket at depth 0) and the parallel
-// build (each rank constructs the subtrees of its assigned buckets).
+// at the current depth. The same code path serves the serial build (one
+// implicit bucket at depth 0) and the parallel build (each rank constructs
+// the subtrees of its assigned buckets).
+//
+// Only the part of the tree that can carry a promising pair is built.
+// Pairs come from nodes of string depth >= ψ (Section 5), so a branching
+// point shallower than ψ is partitioned but gets no node (its children
+// become roots), and a suffix split off alone below ψ gets no leaf: it
+// shares fewer than ψ characters with every other suffix. Retained nodes
+// are created in the same preorder as in the full tree, so the pair
+// generator's (depth desc, id desc) visit order, and with it the pair
+// stream, is that of the full tree.
 //
 // Worst case build time is O(S · l) character probes for S suffixes of
-// average effective length l, matching the paper's stated bound; space is
-// O(S) nodes (leaves merge identical suffixes).
+// average effective length l, matching the paper's stated bound; unary
+// edges are extended eight characters per comparison. There are at most
+// 2·P nodes for the P suffixes that share a ψ-prefix with another suffix
+// (leaves merge identical suffixes), so the node count tracks the
+// repetitive part of the input rather than its length.
 #pragma once
 
 #include <cstdint>
@@ -85,8 +96,7 @@ class SuffixTree {
 
   /// Node ids in decreasing string-depth order, children before parents
   /// (depth ties broken by descending id; children always have larger ids).
-  /// Only nodes with depth >= min_depth are included.
-  std::vector<std::uint32_t> nodes_by_depth_desc(std::uint32_t min_depth) const;
+  std::vector<std::uint32_t> nodes_by_depth_desc() const;
 
   /// Total memory footprint of the structure, in bytes (paper §7.1 reports
   /// bytes per input character; bench/space_accounting reproduces that).
@@ -94,14 +104,20 @@ class SuffixTree {
 
   /// Structural invariant check used by the tests. Returns an empty string
   /// if all invariants hold, else a description of the first violation.
-  /// Verifies: suffix partition across leaves, path-label prefix property,
-  /// sibling first-character distinctness, parent/child depth ordering,
-  /// and right-maximality of branching.
+  /// Verifies: every node is at least ψ deep; a suffix sits in exactly one
+  /// leaf if it shares its first ψ characters with another suffix of the
+  /// tree, and in none otherwise; path-label prefix property, sibling
+  /// first-character distinctness, parent/child depth ordering, and
+  /// right-maximality of branching.
   std::string check_invariants() const;
 
  private:
   void build_range(std::uint32_t begin, std::uint32_t end, std::uint32_t depth,
                    std::uint32_t parent);
+  /// Append a node linked under `parent` (kNilNode: a root); a non-empty
+  /// suffix range makes it a leaf.
+  std::uint32_t add_node(std::uint32_t parent, std::uint32_t depth,
+                         std::uint32_t suffix_begin, std::uint32_t suffix_end);
 
   const seq::FragmentStore* store_;
   GstParams params_;

@@ -351,6 +351,8 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
             .inc(cs.pairs_accepted);
         reg.counter("cluster.merges", obs::kNoRank, ph).inc(cs.merges);
         reg.gauge("cluster.gst_seconds", obs::kNoRank, ph).set(cs.gst_seconds);
+        reg.counter("gst.tree_nodes", obs::kNoRank, ph).inc(cs.gst_tree_nodes);
+        reg.counter("gst.tree_bytes", obs::kNoRank, ph).inc(cs.gst_tree_bytes);
         reg.gauge("cluster.cluster_seconds", obs::kNoRank, ph)
             .set(cs.cluster_seconds);
       }

@@ -70,13 +70,16 @@ Comm::Comm(Transport& transport, const CostParams& cost,
   }
 }
 
-bool Comm::apply_faults() {
+bool Comm::apply_faults(std::int64_t tag) {
   const FaultPlan& fp = *faults_;
   const std::uint64_t idx = ++user_send_seq_;
   if (!fp.enabled()) return false;
 
-  for (const auto& c : fp.crashes) {
-    if (c.rank == rank_ && idx >= c.at_send) {
+  crash_rule_sends_.resize(fp.crashes.size(), 0);
+  for (std::size_t i = 0; i < fp.crashes.size(); ++i) {
+    const auto& c = fp.crashes[i];
+    if (c.rank != rank_ || (c.tag != kAnyTag && c.tag != tag)) continue;
+    if (++crash_rule_sends_[i] >= c.at_send) {
       transport_->counters().crashes_injected.fetch_add(
           1, std::memory_order_relaxed);
       if (obs_ring_ != nullptr) {
@@ -127,7 +130,8 @@ bool Comm::apply_faults() {
   return drop;
 }
 
-bool Comm::send_preflight(int dest, std::size_t n, bool internal, bool sync) {
+bool Comm::send_preflight(int dest, std::int64_t tag, std::size_t n,
+                          bool internal, bool sync) {
   if (dest < 0 || dest >= size()) throw std::runtime_error("send: bad dest");
   if (transport_->is_aborted()) throw AbortError("vmpi aborted");
 
@@ -135,7 +139,7 @@ bool Comm::send_preflight(int dest, std::size_t n, bool internal, bool sync) {
   // collective-internal message is unrecoverable by construction, whereas
   // user-level protocols are expected to tolerate these faults.
   bool drop = false;
-  if (!internal) drop = apply_faults();
+  if (!internal) drop = apply_faults(tag);
 
   // The send is charged even when the message is lost or the destination is
   // dead — the sender did the work of sending it.
@@ -180,7 +184,7 @@ void Comm::dispatch_message(int dest, detail::Message&& msg, bool sync) {
 
 void Comm::send_impl(int dest, std::int64_t tag, const void* data,
                      std::size_t n, bool internal, bool sync) {
-  if (!send_preflight(dest, n, internal, sync)) return;
+  if (!send_preflight(dest, tag, n, internal, sync)) return;
 
   detail::Message msg;
   msg.source = rank_;
@@ -194,7 +198,8 @@ void Comm::send_impl(int dest, std::int64_t tag, const void* data,
 
 void Comm::send_payload_impl(int dest, std::int64_t tag,
                              std::vector<std::byte>&& payload, bool sync) {
-  if (!send_preflight(dest, payload.size(), /*internal=*/false, sync)) return;
+  if (!send_preflight(dest, tag, payload.size(), /*internal=*/false, sync))
+    return;
 
   detail::Message msg;
   msg.source = rank_;

@@ -83,11 +83,16 @@ struct Status {
 /// Deterministic, seeded fault-injection plan. All rules key on a rank's
 /// *user-channel* send index (1-based count of that rank's send/ssend
 /// calls; collective-internal traffic is excluded so plans stay stable
-/// against collective implementation details).
+/// against collective implementation details); a crash rule can narrow
+/// the count to the sends of one tag.
 struct FaultPlan {
   struct Crash {
     int rank = -1;
     std::uint64_t at_send = 1;  ///< die in place of this send (and later)
+    /// Count only the rank's user sends carrying this tag (kAnyTag: all of
+    /// them). Aims a crash at a protocol step rather than at whichever send
+    /// host timing puts in that position (a heartbeat ack, say).
+    int tag = kAnyTag;
   };
   struct Drop {
     int rank = -1;
@@ -400,7 +405,8 @@ class Comm {
   /// Shared send front half: dest/abort checks, fault injection, ledger and
   /// obs charges. Returns false when the message must not be handed to the
   /// transport (dropped, or the destination is dead/finished).
-  bool send_preflight(int dest, std::size_t n, bool internal, bool sync);
+  bool send_preflight(int dest, std::int64_t tag, std::size_t n,
+                      bool internal, bool sync);
   /// Shared send back half: hand the message to the transport and, for
   /// synchronous sends, span the rendezvous wait.
   void dispatch_message(int dest, detail::Message&& msg, bool sync);
@@ -412,10 +418,11 @@ class Comm {
   Status probe_impl(int source, int tag,
                     const std::chrono::steady_clock::time_point* deadline);
 
-  /// Apply the runtime's FaultPlan to this rank's next user send. Returns
-  /// true if the message must be dropped; a crash rule hands control to
-  /// Transport::crash_self (KilledError on threads, SIGKILL on processes).
-  bool apply_faults();
+  /// Apply the runtime's FaultPlan to this rank's next user send, which
+  /// carries `tag`. Returns true if the message must be dropped; a crash
+  /// rule hands control to Transport::crash_self (KilledError on threads,
+  /// SIGKILL on processes).
+  bool apply_faults(std::int64_t tag);
 
   template <typename T>
   T value_from_bytes(const std::vector<std::byte>& bytes, const Status& st) {
@@ -458,6 +465,8 @@ class Comm {
   int rank_;
   std::int64_t collective_seq_ = 0;
   std::uint64_t user_send_seq_ = 0;  ///< 1-based index of user-channel sends
+  /// Per FaultPlan crash rule: this rank's user sends that rule counts.
+  std::vector<std::uint64_t> crash_rule_sends_;
   RankLedger ledger_;
   StashMap stash_;  ///< collected into RunCost::stash after the run
 

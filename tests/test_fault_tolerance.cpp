@@ -13,6 +13,7 @@
 #include <map>
 #include <thread>
 
+#include "core/cluster_protocol.hpp"
 #include "core/parallel_cluster.hpp"
 #include "core/wire.hpp"
 #include "test_helpers.hpp"
@@ -188,6 +189,29 @@ TEST(FaultVmpi, CrashAtMessageNKillsOnlyThatRank) {
         // a prompt TimeoutError rather than a hang.
         EXPECT_THROW(comm.recv_timeout(1, 9, 5.0), vmpi::TimeoutError);
         EXPECT_TRUE(comm.rank_failed(1));
+      }
+    });
+  });
+  EXPECT_EQ(cost.faults.crashes_injected, 1u);
+  EXPECT_EQ(cost.faults.ranks_failed, 1u);
+}
+
+TEST(FaultVmpi, TaggedCrashCountsOnlySendsWithItsTag) {
+  vmpi::FaultPlan plan;
+  plan.crashes.push_back({.rank = 1, .at_send = 2, .tag = 7});
+  vmpi::Runtime rt(3, {}, plan);
+  const auto cost = run_with_watchdog([&] {
+    return rt.run([&](vmpi::Comm& comm) {
+      if (comm.rank() == 1) {
+        // Sends 1-3 carry tag 8 and do not count; the second tag-7 send
+        // (user send 5) is the one the rank dies in place of.
+        for (int i = 0; i < 3; ++i) comm.send_value(2, 8, i);
+        comm.send_value(2, 7, 100);
+        comm.send_value(2, 7, 101);
+      } else if (comm.rank() == 2) {
+        for (int i = 0; i < 3; ++i) EXPECT_EQ(comm.recv_value<int>(1, 8), i);
+        EXPECT_EQ(comm.recv_value<int>(1, 7), 100);
+        EXPECT_THROW(comm.recv_timeout(1, 7, 5.0), vmpi::TimeoutError);
       }
     });
   });
@@ -418,8 +442,14 @@ TEST(FaultCluster, WorkerCrashSamePartitionWithReassignment) {
       run_with_watchdog([&] { return cluster_parallel(store, params, 4); });
   ASSERT_EQ(baseline.stats.workers_lost, 0u);
 
+  // Die at the third report send, counting report-tag sends only. Counting
+  // every send would let a loaded host move the crash onto a heartbeat ack
+  // sent while rank 2 holds no batch. At its third report send, rank 2 has
+  // aligned the batch of its first reply but not yet delivered the
+  // results, so that batch is in flight and must be reassigned.
   vmpi::FaultPlan plan;
-  plan.crashes.push_back({.rank = 2, .at_send = 3});
+  plan.crashes.push_back(
+      {.rank = 2, .at_send = 3, .tag = core::to_tag(core::MsgKind::kReport)});
   const auto faulty = run_with_watchdog(
       [&] { return cluster_parallel(store, params, 4, {}, plan); });
 

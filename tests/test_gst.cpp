@@ -7,6 +7,8 @@
 #include "gst/lookup_filter.hpp"
 #include "gst/pair_generator.hpp"
 #include "gst/suffix_tree.hpp"
+#include "sim/genome.hpp"
+#include "sim/reads.hpp"
 #include "test_helpers.hpp"
 
 namespace pgasm {
@@ -58,6 +60,40 @@ TEST_P(SuffixTreeRandom, InvariantsHold) {
   const auto store = random_store(rng, 8 + rng.below(8), 20, 120, 0.05);
   SuffixTree tree(store, GstParams{.min_match = 3, .prefix_w = 0});
   EXPECT_EQ(tree.check_invariants(), "") << "seed " << GetParam();
+}
+
+TEST_P(SuffixTreeRandom, LeavesHoldExactlyTheSuffixesSharingAPsiPrefix) {
+  util::Prng rng(GetParam() * 53 + 2);
+  const std::uint32_t psi = 4 + static_cast<std::uint32_t>(rng.below(6));
+  const auto store = random_store(rng, 8 + rng.below(8), 20, 120, 0.05);
+  SuffixTree tree(store, GstParams{.min_match = psi, .prefix_w = 0});
+  ASSERT_EQ(tree.check_invariants(), "") << "seed " << GetParam();
+
+  std::vector<int> leaves_of(tree.num_suffixes(), 0);
+  for (std::uint32_t id = 0; id < tree.num_nodes(); ++id) {
+    const auto& nd = tree.node(id);
+    EXPECT_GE(nd.depth, psi) << "node " << id;
+    if (!nd.is_leaf()) continue;
+    for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i)
+      ++leaves_of[i];
+  }
+  // Brute force over all suffix pairs: shares its first psi characters with
+  // some other suffix <=> sits in exactly one leaf (else in none).
+  std::size_t lone = 0;
+  for (std::uint32_t i = 0; i < tree.num_suffixes(); ++i) {
+    const auto& a = tree.suffix(i);
+    const auto ta = store.seq(a.seq).subspan(a.pos, psi);
+    bool shared = false;
+    for (std::uint32_t j = 0; j < tree.num_suffixes() && !shared; ++j) {
+      const auto& b = tree.suffix(j);
+      shared = j != i && std::ranges::equal(
+                             ta, store.seq(b.seq).subspan(b.pos, psi));
+    }
+    EXPECT_EQ(leaves_of[i], shared ? 1 : 0)
+        << "seed " << GetParam() << " suffix " << i;
+    if (!shared) ++lone;
+  }
+  EXPECT_GT(lone, 0u) << "input too repetitive to exercise dropped suffixes";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SuffixTreeRandom,
@@ -241,6 +277,94 @@ TEST(PairGen, MaskingSuppressesPairs) {
   SuffixTree tree(store, GstParams{.min_match = 8, .prefix_w = 0});
   const auto pairs = PairGenerator::generate_all(tree, {.dup_elim = true});
   EXPECT_TRUE(pairs.empty());
+}
+
+// --- Pair-stream pin ---------------------------------------------------------
+
+// FNV-1a over the exact ordered pair stream: any change in which pairs are
+// emitted, their anchors, or their order changes the value.
+std::uint64_t stream_hash(const std::vector<PromisingPair>& pairs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (v >> (8 * b)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& p : pairs) {
+    mix(p.seq_a);
+    mix(p.pos_a);
+    mix(p.seq_b);
+    mix(p.pos_b);
+    mix(p.match_len);
+  }
+  return h;
+}
+
+std::vector<PromisingPair> doubled_stream(const seq::FragmentStore& plain,
+                                          std::uint32_t psi) {
+  const auto doubled = seq::make_doubled_store(plain);
+  SuffixTree tree(doubled, GstParams{.min_match = psi, .prefix_w = 0});
+  return PairGenerator::generate_all(
+      tree, {.dup_elim = true, .doubled_input = true});
+}
+
+// The pinned values were recorded with the full-tree build (every node
+// below ψ materialized); a build that prunes what cannot carry a pair must
+// reproduce the stream pair for pair.
+TEST(PairStreamPin, RandomStoreDoubledDupElim) {
+  util::Prng rng(20261019);
+  const auto plain = random_store(rng, 60, 40, 220, 0.01);
+  const auto pairs = doubled_stream(plain, 7);
+  EXPECT_EQ(pairs.size(), 2272u);
+  EXPECT_EQ(stream_hash(pairs), 9363835982869632698ULL);
+}
+
+TEST(PairStreamPin, SimReadsDoubledDupElim) {
+  const auto genome = sim::simulate_genome(sim::shotgun_like(12'000, 11));
+  util::Prng rng(12);
+  sim::ReadSet rs;
+  sim::ReadParams rp;
+  rp.len_mean = 300;
+  rp.len_spread = 60;
+  sim::sample_wgs(rs, genome, 8.0, rp, rng);
+  // Mask a window in every seventh read so runs end inside fragments too.
+  for (std::uint32_t i = 0; i < rs.store.size(); i += 7)
+    rs.store.mask(i, 100, 120);
+  const auto pairs = doubled_stream(rs.store, 20);
+  EXPECT_EQ(pairs.size(), 7592u);
+  EXPECT_EQ(stream_hash(pairs), 5134365816378710712ULL);
+}
+
+TEST(PairGen, NodeBudgetBoundsEachCallAndKeepsTheStream) {
+  util::Prng rng(31);
+  const auto plain = random_store(rng, 40, 40, 160, 0.01);
+  const auto doubled = seq::make_doubled_store(plain);
+  SuffixTree tree(doubled, GstParams{.min_match = 7, .prefix_w = 0});
+  const PairGenParams gp{.dup_elim = true, .doubled_input = true};
+  const auto expected = PairGenerator::generate_all(tree, gp);
+  ASSERT_FALSE(expected.empty());
+
+  for (const std::size_t budget : {1u, 3u, 64u}) {
+    PairGenerator gen(tree, gp);
+    std::vector<PromisingPair> got;
+    std::size_t empty_calls = 0;
+    PromisingPair p;
+    while (!gen.done()) {
+      const std::uint64_t before = gen.nodes_entered();
+      if (gen.next(p, budget)) {
+        got.push_back(p);
+      } else if (!gen.done()) {
+        ++empty_calls;
+        // A call only gives up once it has spent the whole budget.
+        EXPECT_EQ(gen.nodes_entered() - before, budget);
+      }
+      ASSERT_LE(gen.nodes_entered() - before, budget) << "budget " << budget;
+    }
+    EXPECT_EQ(got, expected) << "budget " << budget;
+    EXPECT_EQ(gen.nodes_entered(), tree.num_nodes());
+    EXPECT_GT(empty_calls, 0u) << "budget " << budget;
+  }
 }
 
 // --- Lookup-table baseline filter (paper Section 2) -------------------------
